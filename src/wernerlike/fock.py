@@ -9,8 +9,10 @@ Conventions used throughout the package:
 
 Displacement matrix elements <m|D(beta)|n> come from the associated-Laguerre
 closed form with log-factorial prefactors; Laguerre values are generated by
-the three-term recurrence in the degree, which is well behaved for the
-arguments used here (|beta|^2 up to ~10, degrees up to a few hundred).
+the three-term recurrence in the degree.  Against the closed form in mpmath,
+the real table's largest absolute error is 1e-15 at |beta|^2 = 91 for 32 x 32
+(the default Wigner grid's corner, which evaluates D(2 gamma)), 6e-15 at 16
+for 80 x 80 and 2e-14 at 1.44 for 163 x 163; beyond that it is unchecked.
 """
 
 import numpy as np

@@ -24,7 +24,7 @@ from .fock import (
     SPIN_DOWN,
     SPIN_UP,
     coherent_state,
-    displacement_matrix,
+    displacement_amplitudes,
     displacement_operator,
     displaced_support,
     spin_rotation,
@@ -223,10 +223,13 @@ def simulate_trap_acquisition(alpha, settings, events_per_phase, seed, dim=32,
     win = settings.n_max + 1
     smear = binomial_matrix(settings.eta, win, rows) if settings.eta < 1.0 else None
     u_inv = spin_rotation(-settings.theta, settings.phi_spin)
+    # one real table per exact |beta_j| keeps dmat bit-identical to displacement_matrix
+    betas = [complex(-(settings.beta_abs * np.exp(1j * phase))) for phase in settings.phases]
+    tables = {x: displacement_amplitudes(x, rows, dim) for x in set(map(abs, betas))}
+    mn = np.arange(rows)[:, None] - np.arange(dim)
     records = []
-    for j in range(settings.n_phases):
-        beta_j = settings.beta_abs * np.exp(1j * settings.phases[j])
-        dmat = displacement_matrix(-beta_j, rows, dim)
+    for j, beta in enumerate(betas):
+        dmat = tables[abs(beta)] * (beta / abs(beta)) ** mn
         rng = montecarlo.phase_generator(seed, setting_index, j)
         comp_counts = rng.multinomial(events_per_phase, COMPONENT_WEIGHTS)
         counts = np.zeros((2, win), dtype=np.int64)

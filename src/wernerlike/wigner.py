@@ -4,6 +4,12 @@ Each block gets W(gamma) = (2/pi) Tr[block . D(gamma) P D(gamma)+] with P the
 photon-number parity, i.e. the displaced-parity (symmetric-ordering) form of
 the Wigner function, normalized so the plane integral of a block equals its
 trace.  Diagonal blocks are real; W_du = conj(W_ud).
+
+Since P D(-gamma) = D(gamma) P, the displaced parity is D(2 gamma) P (Royer,
+PRA 15, 449, 1977): W(gamma) = (2/pi) sum_{m,n<dim} rho_nm <m|D(2 gamma)|n> (-1)^n.
+The sum covers exactly the block's support, so it needs no parity cutoff and
+only a dim x dim Laguerre table per point; one (points x dim^2) @ (dim^2 x 4)
+product gives all four blocks.
 """
 
 import csv
@@ -13,10 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import displaced_support, displacement_amplitudes_batch, displacement_matrix
+from .fock import displacement_amplitudes_batch
 
 __all__ = [
-    "parity_vector",
     "wigner_point",
     "default_axes",
     "wigner_grid",
@@ -29,19 +34,11 @@ __all__ = [
 BLOCK_NAMES = ("uu", "ud", "du", "dd")
 
 
-def parity_vector(dim):
-    return (-1.0) ** np.arange(dim)
-
-
-def wigner_point(block, gamma, parity_dim=None):
+def wigner_point(block, gamma):
     """W(gamma) for a single oscillator-space block (complex in general)."""
-    block = np.asarray(block, dtype=complex)
-    d = block.shape[0]
-    if parity_dim is None:
-        parity_dim = displaced_support(d - 1, abs(gamma), tol=1e-12)
-    a = displacement_matrix(gamma, d, parity_dim)  # <j|D(gamma)|k>
-    c = np.einsum("jk,jl,lk->k", a.conj(), block, a, optimize=True)
-    return complex(2.0 / np.pi * (parity_vector(parity_dim) * c).sum())
+    blocks = dict.fromkeys(BLOCK_NAMES, np.asarray(block))
+    grid = wigner_grid(blocks, [np.real(gamma)], [np.imag(gamma)])
+    return complex(grid.blocks["uu"][0, 0])
 
 
 def default_axes(alpha, re_pad=3.0, spacing=0.1, im_extent=3.0):
@@ -91,25 +88,20 @@ def wigner_grid(blocks, re_axis, im_axis, chunk=512, expected_traces=None,
     re_axis = np.asarray(re_axis, dtype=float)
     im_axis = np.asarray(im_axis, dtype=float)
     points = (re_axis[None, :] + 1j * im_axis[:, None]).ravel()
-    gmax = float(np.abs(points).max())
-    parity_dim = displaced_support(dim - 1, gmax, tol=1e-12)
-    parity = parity_vector(parity_dim)
-    jk = np.arange(dim)[:, None] - np.arange(parity_dim)[None, :]
-    out = {name: np.empty(points.size, dtype=complex) for name in BLOCK_NAMES}
-    mats = {name: np.asarray(blocks[name], dtype=complex) for name in BLOCK_NAMES}
+    # row m * dim + n of column k holds rho_nm of block k
+    stacked = np.stack([np.asarray(blocks[k], dtype=complex).T.ravel() for k in BLOCK_NAMES], 1)
+    n = np.arange(dim)
+    values = np.empty((points.size, len(BLOCK_NAMES)), dtype=complex)
     for start in range(0, points.size, chunk):
         pts = points[start : start + chunk]
-        mag = np.abs(pts)
-        ang = np.where(mag > 0, np.angle(pts), 0.0)
-        f = displacement_amplitudes_batch(mag, dim, parity_dim).astype(complex)
-        f *= np.exp(1j * ang[:, None, None] * jk[None, :, :])
-        for name in BLOCK_NAMES:
-            vals = np.einsum("pjk,jl,plk,k->p", f.conj(), mats[name], f, parity,
-                             optimize=True)
-            out[name][start : start + pts.size] = 2.0 / np.pi * vals
+        # <m|D(2 gamma)|n> (-1)^n = <m|D(2|gamma|)|n> e^{i(m-n) arg gamma} (-1)^n
+        rot = np.exp(1j * np.angle(pts)[:, None] * n)
+        table = displacement_amplitudes_batch(2.0 * np.abs(pts), dim, dim) * (-1.0) ** n
+        table = table * rot[:, :, None] * rot.conj()[:, None, :]
+        values[start : start + pts.size] = table.reshape(pts.size, dim * dim) @ stacked
     shape = (im_axis.size, re_axis.size)
-    surfaces = {name: out[name].reshape(shape) for name in BLOCK_NAMES}
-    meta = {"parity_dim": parity_dim, "state_dim": dim}
+    surfaces = {k: 2.0 / np.pi * values[:, i].reshape(shape) for i, k in enumerate(BLOCK_NAMES)}
+    meta = {"state_dim": dim}
     grid = WignerGrid(re_axis=re_axis, im_axis=im_axis, blocks=surfaces, meta=meta)
     if expected_traces is not None:
         checks = {}

@@ -114,6 +114,28 @@ class TestDisplacementOperator:
         sums = np.sum(np.abs(f) ** 2, axis=0)
         np.testing.assert_allclose(sums, 1.0, atol=1e-8)
 
+    def test_amplitudes_at_wigner_grid_corner(self):
+        # Wigner maps evaluate D(2 gamma); the default grid corner
+        # gamma = 3.7 + 3i gives |2 gamma|^2 ~ 91, far past the small
+        # arguments of the tomography path
+        mpmath = pytest.importorskip("mpmath")
+        x, dim = 9.53, 32
+        ref = np.empty((dim, dim))
+        with mpmath.workdps(40):
+            y = mpmath.mpf(x) ** 2
+            for m in range(dim):
+                for n in range(dim):
+                    k, d = min(m, n), abs(m - n)
+                    val = (
+                        mpmath.sqrt(mpmath.factorial(k) / mpmath.factorial(k + d))
+                        * mpmath.mpf(x) ** d
+                        * mpmath.exp(-y / 2)
+                        * mpmath.laguerre(k, d, y)
+                    )
+                    ref[m, n] = float(val) * (-1.0) ** d if m < n else float(val)
+        f = fock.displacement_amplitudes(x, dim, dim)
+        assert np.max(np.abs(f - ref)) < 1e-13
+
     def test_displaced_support_is_sufficient(self):
         k = fock.displaced_support(8, 2.0)
         f = fock.displacement_amplitudes(2.0, k, 9)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from wernerlike import states, wigner as wg
+from wernerlike import fock, states, wigner as wg
 from wernerlike import tomography as tg
 
 TWO_OVER_PI = 2.0 / np.pi
@@ -14,6 +14,36 @@ def expm_displaced_parity(gamma, dim):
     d = expm(gamma * a.conj().T - np.conj(gamma) * a)
     parity = np.diag((-1.0) ** np.arange(dim))
     return d @ parity @ d.conj().T
+
+
+def coherent_wigner(gamma, a, b):
+    """Closed-form W(gamma) = (2/pi) <b|D(gamma) P D(gamma)+|a> of |a><b|."""
+    ga, gb = a - gamma, b - gamma
+    exponent = (
+        0.5 * (np.conj(gamma) * a - gamma * np.conj(a))
+        + 0.5 * (gamma * np.conj(b) - np.conj(gamma) * b)
+        - 0.5 * np.abs(ga) ** 2
+        - 0.5 * np.abs(gb) ** 2
+        - np.conj(gb) * ga
+    )
+    return TWO_OVER_PI * np.exp(exponent)
+
+
+def parity_cutoff_grid(blocks, re_axis, im_axis):
+    """Reference: W = (2/pi) sum_k (-1)^k <k|D(gamma)+ block D(gamma)|k>,
+    with the parity sum cut where every displaced number state of the block's
+    space keeps all but 1e-12 of its norm at the largest |gamma|."""
+    dim = blocks["uu"].shape[0]
+    points = (re_axis[None, :] + 1j * im_axis[:, None]).ravel()
+    parity_dim = fock.displaced_support(dim - 1, np.abs(points).max(), tol=1e-12)
+    parity = (-1.0) ** np.arange(parity_dim)
+    out = {name: np.empty(points.size, dtype=complex) for name in wg.BLOCK_NAMES}
+    for p, gamma in enumerate(points):
+        a = fock.displacement_matrix(gamma, dim, parity_dim)  # <j|D(gamma)|k>
+        for name in wg.BLOCK_NAMES:
+            c = np.einsum("jk,jl,lk->k", a.conj(), blocks[name], a)
+            out[name][p] = TWO_OVER_PI * (parity * c).sum()
+    return {name: v.reshape(im_axis.size, re_axis.size) for name, v in out.items()}
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +171,48 @@ class TestWignerGrid:
                 np.arange(-0.5, 0.55, 0.25),
                 expected_traces={"uu": 0.5},
             )
+
+    def test_truth_matches_closed_form(self, grid07):
+        # blocks as weighted coherent dyads |a><b|: (weight, a, b)
+        a = 0.7
+        terms = {
+            "uu": ((0.125, a, a), (0.375, -a, -a)),
+            "dd": ((0.375, a, a), (0.125, -a, -a)),
+            "ud": ((-0.25, -a, a),),
+            "du": ((-0.25, a, -a),),
+        }
+        gamma = grid07.re_axis[None, :] + 1j * grid07.im_axis[:, None]
+        for name, dyads in terms.items():
+            exact = sum(w * coherent_wigner(gamma, ket, bra) for w, ket, bra in dyads)
+            assert np.max(np.abs(grid07.blocks[name] - exact)) < 1e-12
+
+    def test_matches_parity_cutoff_reference_at_estimate_scale(self):
+        # a raw linear-inversion estimate at the default design carries
+        # entries up to ~4e4 across the whole Fock range
+        rng = np.random.default_rng(11)
+        dim, scale = 32, 4e4
+
+        def noise():
+            return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+        uu, dd, ud = noise(), noise(), noise()
+        blocks = {"uu": uu + uu.conj().T, "dd": dd + dd.conj().T, "ud": ud, "du": ud.conj().T}
+        top = max(np.abs(b).max() for b in blocks.values())
+        blocks = {name: scale / top * b for name, b in blocks.items()}
+        # corners reach the default desk grid's |gamma| = |3.7 + 3i|
+        re_axis = np.array([-3.7, -1.3, 0.0, 0.6, 3.7])
+        im_axis = np.array([-3.0, 0.0, 0.4, 3.0])
+        ref = parity_cutoff_grid(blocks, re_axis, im_axis)
+        grid = wg.wigner_grid(blocks, re_axis, im_axis)
+        for name in wg.BLOCK_NAMES:
+            assert np.max(np.abs(grid.blocks[name] - ref[name])) < 1e-12 * scale
+
+    def test_point_equals_grid_sample(self, grid07, hybrid07):
+        for i, j in ((0, 0), (30, 37), (12, 50), (60, 74)):
+            gamma = complex(grid07.re_axis[j], grid07.im_axis[i])
+            for name in wg.BLOCK_NAMES:
+                got = wg.wigner_point(getattr(hybrid07, name), gamma)
+                assert abs(got - grid07.blocks[name][i, j]) < 1e-15
 
     def test_noiseless_reconstruction_grid_matches_truth(self):
         state = states.build_hybrid_mixture(0.7, 16)
