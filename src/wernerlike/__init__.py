@@ -34,7 +34,6 @@ from .tomography import (
     MarginalData,
     SingularSystemError,
     TomographySettings,
-    build_G,
     efficiency_smear,
     exact_marginal_data,
     fourier_coefficients,

@@ -238,7 +238,10 @@ def _load_marginals(config, records_dir):
                 f"missing record group with (theta, phi_spin) = "
                 f"({angles[0]:.6g}, {angles[1]:.6g}) (expected file {path})"
             )
-        datas.append(montecarlo.estimate_marginals(montecarlo.read_records(path)))
+        try:
+            datas.append(montecarlo.estimate_marginals(montecarlo.read_records(path)))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     return datas
 
 
@@ -311,15 +314,15 @@ def cmd_wigner(config, args):
             estimate, _ = tomography.load_estimate_json(recon_path)
             st = estimate.to_state()
             sources["recon"] = {name: getattr(st, name) for name in wigner.BLOCK_NAMES}
+        # one displacement table serves every source's blocks
+        named = {(tag, name): b for tag, blocks in sources.items() for name, b in blocks.items()}
+        joint = wigner.wigner_grid(named, re_axis, im_axis)
         grids = {}
         meta = {"spacing": args.spacing, **_stamp(config)}
         for tag, blocks in sources.items():
-            expected = {
-                "uu": np.trace(blocks["uu"]),
-                "dd": np.trace(blocks["dd"]),
-                "ud": np.trace(blocks["ud"]),
-            }
-            grid = wigner.wigner_grid(blocks, re_axis, im_axis, expected_traces=expected)
+            grid = replace(joint, blocks={n: joint.blocks[tag, n] for n in blocks},
+                           meta=dict(joint.meta))
+            grid.check_normalization({name: np.trace(blocks[name]) for name in ("uu", "dd", "ud")})
             grids[tag] = grid
             path = outdir / f"wigner_{tag}.csv"
             wigner.write_grid_csv(path, grid, comments=_stamp_comments(config))

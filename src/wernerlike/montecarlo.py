@@ -147,31 +147,54 @@ def read_records(path):
 
 
 def estimate_marginals(records):
-    """Frequency estimates w_est = counts/events with var = w_est/events."""
+    """Frequency estimates w_est = counts/events with var = w_est/events.
+
+    Rejects, with a ValueError naming the phase index, records that mix
+    settings or seeds, miss a phase, carry counts_up and counts_down of
+    unequal length or negative counts, or whose counts plus overflow differ
+    from total_events.
+    """
     if not records:
         raise ValueError("no records given")
     first = records[0]
+    win = len(first.counts_up)
     for rec in records:
+        if len(rec.counts_up) != win or len(rec.counts_down) != win:
+            raise ValueError(
+                f"phase {rec.phase_index}: {len(rec.counts_up)} up and"
+                f" {len(rec.counts_down)} down count cells, expected {win} each"
+            )
         same = (
             rec.theta == first.theta
             and rec.phi_spin == first.phi_spin
             and rec.beta_abs == first.beta_abs
             and rec.n_phases == first.n_phases
             and rec.total_events == first.total_events
-            and len(rec.counts_up) == len(first.counts_up)
+            and rec.seed == first.seed
         )
         if not same:
-            raise ValueError("records mix different settings")
+            raise ValueError(f"phase {rec.phase_index}: records mix different settings or seeds")
     seen = sorted(rec.phase_index for rec in records)
     if seen != list(range(first.n_phases)):
         missing = sorted(set(range(first.n_phases)) - set(seen))
         raise ValueError(f"incomplete phase coverage; missing phase indices {missing[:8]}")
-    win = len(first.counts_up)
-    w = np.zeros((2, first.n_phases, win))
+    # cells[s, j] holds the counts of spin outcome s at phase j, then its overflow
+    cells = np.empty((2, first.n_phases, win + 1), dtype=np.int64)
     for rec in records:
-        w[SPIN_UP, rec.phase_index] = rec.counts_up
-        w[SPIN_DOWN, rec.phase_index] = rec.counts_down
-    w /= first.total_events
+        j = rec.phase_index
+        cells[SPIN_UP, j, :win], cells[SPIN_DOWN, j, :win] = rec.counts_up, rec.counts_down
+        cells[SPIN_UP, j, win], cells[SPIN_DOWN, j, win] = rec.overflow_up, rec.overflow_down
+    negative = (cells < 0).any(axis=(0, 2))
+    if negative.any():
+        raise ValueError(f"phase {int(np.argmax(negative))}: negative counts")
+    totals = cells.sum(axis=(0, 2))
+    if np.any(totals != first.total_events):
+        j = int(np.argmax(totals != first.total_events))
+        raise ValueError(
+            f"phase {j}: counts plus overflow sum to {totals[j]},"
+            f" not total_events = {first.total_events}"
+        )
+    w = cells[..., :win] / first.total_events
     return MarginalData(
         theta=first.theta,
         phi_spin=first.phi_spin,

@@ -14,8 +14,14 @@ spin-collapsed block:
     w_hat(n; r) = sum_m G^(r)_nm <m+r| rho_Q |m>,   G^(r)_nm = f_(m+r)n f_mn
 
 which is inverted per order by the least-squares pseudo-inverse
-M = (G^T G)^-1 G^T.  Detector efficiency eta < 1 folds a binomial smearing
-matrix into the system before inversion, so the estimator stays unbiased.
+M = (G^T G)^-1 G^T.  The forward tables run the same operator the other way,
+one G^(r) product per order:
+
+    w(n; phase_j) = Re sum_r c_r e^{-i r phase_j} (G^(r) diag_r(rho_Q))_n
+
+with c_0 = 1, c_r = 2 and diag_r(rho_Q)_m = <m+r|rho_Q|m>.  Detector
+efficiency eta < 1 folds a binomial smearing matrix into the system before
+inversion, so the estimator stays unbiased.
 
 Per-order systems whose singular values fall below an absolute floor are
 truncated: a uniformly tiny G (e.g. the far off-diagonal orders at small
@@ -50,13 +56,13 @@ __all__ = [
     "spin_projector",
     "collapse_spin",
     "marginal_w",
+    "order_operator",
     "ideal_marginal_tables",
     "smeared_marginal_tables",
     "exact_marginal_data",
     "fourier_coefficients",
     "binomial_matrix",
     "efficiency_smear",
-    "build_G",
     "pseudo_inverse_M",
     "inversion_systems",
     "propagate_errors",
@@ -203,20 +209,29 @@ def marginal_w(state, spin_outcome, n, theta, phi_spin, beta):
     return float(w.real)
 
 
+def order_operator(f, r):
+    """Order-r system matrix G^(r)_nm = f_(m+r)n f_mn, shape (rows, cdim - r),
+    of the real (cdim, rows) amplitude table f_kn = <k|D(|b|)|n>."""
+    return (f[r:] * f[: len(f) - r]).T
+
+
 def ideal_marginal_tables(state, settings, rows=None):
-    """Ideal (eta = 1) marginals w[s, j, n] for n < rows on the phase grid."""
+    """Ideal (eta = 1) marginals w[s, j, n] for n < rows, summed over Fourier orders."""
     if rows is None:
         rows = displaced_support(state.dim - 1, settings.beta_abs)
     f = displacement_amplitudes(settings.beta_abs, state.dim, rows)
-    phase_factors = np.exp(1j * np.outer(settings.phases, np.arange(state.dim)))
-    out = np.empty((2, settings.n_phases, rows))
-    for s in (SPIN_DOWN, SPIN_UP):
-        rho_q = collapse_spin(state, spin_projector(settings.theta, settings.phi_spin, s))
-        for j in range(settings.n_phases):
-            e = phase_factors[j]
-            d = e.conj()[:, None] * rho_q * e[None, :]
-            out[s, j] = np.einsum("kn,km,mn->n", f, d, f, optimize=True).real
-    return out
+    rho_q = [
+        collapse_spin(state, spin_projector(settings.theta, settings.phi_spin, s))
+        for s in (SPIN_DOWN, SPIN_UP)
+    ]
+    # per_order[s, r, n] = (G^(r) diag_r(rho_Q))_n for each spin outcome s
+    per_order = np.empty((2, state.dim, rows), dtype=complex)
+    for r in range(state.dim):
+        diagonals = np.stack([np.diagonal(q, -r) for q in rho_q])
+        per_order[:, r] = diagonals @ order_operator(f, r).T
+    orders = np.arange(state.dim)
+    waves = np.where(orders == 0, 1.0, 2.0) * np.exp(-1j * np.outer(settings.phases, orders))
+    return (waves @ per_order).real
 
 
 def smeared_marginal_tables(state, settings):
@@ -301,24 +316,6 @@ def efficiency_smear(w, eta):
     return w @ b.T
 
 
-def build_G(r, beta_abs, n_max, n_cutoff, rows=None):
-    """Order-r system matrix G^(r)_nm = f_(m+r)n(|b|) f_mn(|b|).
-
-    Shape (rows, n_cutoff+1-r); rows defaults to the measured window
-    n_max+1.  At |b| = 0 this is the identity block for r = 0 and zero for
-    r >= 1: a vanishing displacement cannot reach off-diagonals.
-    """
-    if not 0 <= r <= n_cutoff:
-        raise ValueError("need 0 <= r <= n_cutoff")
-    if n_max < n_cutoff:
-        raise ValueError("need n_max >= n_cutoff")
-    if rows is None:
-        rows = n_max + 1
-    cdim = n_cutoff + 1
-    f = displacement_amplitudes(beta_abs, cdim, rows)
-    return (f[r:cdim, :] * f[: cdim - r, :]).T
-
-
 def pseudo_inverse_M(g, context=None):
     """Least-squares pseudo-inverse M = (G^T G)^-1 G^T via SVD.
 
@@ -368,7 +365,7 @@ def inversion_systems(settings):
         b = None
     systems = []
     for r in range(cdim):
-        g = (f[r:cdim, :] * f[: cdim - r, :]).T
+        g = order_operator(f, r)
         if b is not None:
             g = b @ g
         u, s, vt = np.linalg.svd(g, full_matrices=False)

@@ -8,8 +8,9 @@ trace.  Diagonal blocks are real; W_du = conj(W_ud).
 Since P D(-gamma) = D(gamma) P, the displaced parity is D(2 gamma) P (Royer,
 PRA 15, 449, 1977): W(gamma) = (2/pi) sum_{m,n<dim} rho_nm <m|D(2 gamma)|n> (-1)^n.
 The sum covers exactly the block's support, so it needs no parity cutoff and
-only a dim x dim Laguerre table per point; one (points x dim^2) @ (dim^2 x 4)
-product gives all four blocks.
+only a dim x dim Laguerre table per point; one (points x dim^2) @ (dim^2 x k)
+product gives all k blocks, e.g. the four blocks of both the true and the
+reconstructed state from one table.
 """
 
 import csv
@@ -36,9 +37,8 @@ BLOCK_NAMES = ("uu", "ud", "du", "dd")
 
 def wigner_point(block, gamma):
     """W(gamma) for a single oscillator-space block (complex in general)."""
-    blocks = dict.fromkeys(BLOCK_NAMES, np.asarray(block))
-    grid = wigner_grid(blocks, [np.real(gamma)], [np.imag(gamma)])
-    return complex(grid.blocks["uu"][0, 0])
+    grid = wigner_grid({"w": block}, [np.real(gamma)], [np.imag(gamma)])
+    return complex(grid.blocks["w"][0, 0])
 
 
 def default_axes(alpha, re_pad=3.0, spacing=0.1, im_extent=3.0):
@@ -72,26 +72,51 @@ class WignerGrid:
         row = int(np.argmin(np.abs(self.im_axis - im_value)))
         return self.re_axis, self.blocks[name][row]
 
+    def check_normalization(self, expected_traces, tol=1e-3):
+        """Record grid integrals against block traces in meta; warn on a miss."""
+        checks = {}
+        ok = True
+        for name, expected in expected_traces.items():
+            got = self.block_integral(name)
+            expected = complex(expected)
+            checks[name] = {
+                "integral": [got.real, got.imag],
+                "expected": [expected.real, expected.imag],
+            }
+            if abs(got - expected) > tol:
+                ok = False
+        self.meta["normalization"] = checks
+        self.meta["normalization_ok"] = ok
+        if not ok:
+            warnings.warn(
+                "grid integrals miss the block traces; enlarge or refine the grid",
+                stacklevel=2,
+            )
+
 
 def wigner_grid(blocks, re_axis, im_axis, chunk=512, expected_traces=None,
                 normalization_tol=1e-3):
-    """Evaluate all four block surfaces on the grid.
+    """Evaluate the surfaces of named oscillator-space blocks on the grid.
 
-    ``blocks`` maps the names uu/ud/du/dd to (dim, dim) arrays (a HybridState
-    works through its attributes).  When expected_traces is given, the grid
-    integrals are checked against them and a coverage warning is emitted on
-    failure.
+    ``blocks`` maps names to square arrays (a HybridState gives its four
+    blocks uu/ud/du/dd); ``grid.blocks`` uses the same names.  Blocks of
+    different sizes are zero-padded to the largest, ``meta["state_dim"]``.
+    When expected_traces is given, the grid integrals are checked against
+    them and a coverage warning is emitted on failure.
     """
     if hasattr(blocks, "uu"):
         blocks = {name: getattr(blocks, name) for name in BLOCK_NAMES}
-    dim = blocks["uu"].shape[0]
+    dim = max(len(block) for block in blocks.values())
     re_axis = np.asarray(re_axis, dtype=float)
     im_axis = np.asarray(im_axis, dtype=float)
     points = (re_axis[None, :] + 1j * im_axis[:, None]).ravel()
     # row m * dim + n of column k holds rho_nm of block k
-    stacked = np.stack([np.asarray(blocks[k], dtype=complex).T.ravel() for k in BLOCK_NAMES], 1)
+    stacked = np.zeros((dim, dim, len(blocks)), dtype=complex)
+    for k, block in enumerate(blocks.values()):
+        stacked[: len(block), : len(block), k] = np.transpose(block)
+    stacked = stacked.reshape(dim * dim, len(blocks))
     n = np.arange(dim)
-    values = np.empty((points.size, len(BLOCK_NAMES)), dtype=complex)
+    values = np.empty((points.size, len(blocks)), dtype=complex)
     for start in range(0, points.size, chunk):
         pts = points[start : start + chunk]
         # <m|D(2 gamma)|n> (-1)^n = <m|D(2|gamma|)|n> e^{i(m-n) arg gamma} (-1)^n
@@ -100,28 +125,10 @@ def wigner_grid(blocks, re_axis, im_axis, chunk=512, expected_traces=None,
         table = table * rot[:, :, None] * rot.conj()[:, None, :]
         values[start : start + pts.size] = table.reshape(pts.size, dim * dim) @ stacked
     shape = (im_axis.size, re_axis.size)
-    surfaces = {k: 2.0 / np.pi * values[:, i].reshape(shape) for i, k in enumerate(BLOCK_NAMES)}
-    meta = {"state_dim": dim}
-    grid = WignerGrid(re_axis=re_axis, im_axis=im_axis, blocks=surfaces, meta=meta)
+    surfaces = {k: 2.0 / np.pi * values[:, i].reshape(shape) for i, k in enumerate(blocks)}
+    grid = WignerGrid(re_axis=re_axis, im_axis=im_axis, blocks=surfaces, meta={"state_dim": dim})
     if expected_traces is not None:
-        checks = {}
-        ok = True
-        for name, expected in expected_traces.items():
-            got = grid.block_integral(name)
-            expected = complex(expected)
-            checks[name] = {
-                "integral": [got.real, got.imag],
-                "expected": [expected.real, expected.imag],
-            }
-            if abs(got - expected) > normalization_tol:
-                ok = False
-        grid.meta["normalization"] = checks
-        grid.meta["normalization_ok"] = ok
-        if not ok:
-            warnings.warn(
-                "grid integrals miss the block traces; enlarge or refine the grid",
-                stacklevel=2,
-            )
+        grid.check_normalization(expected_traces, normalization_tol)
     return grid
 
 

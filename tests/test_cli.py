@@ -145,6 +145,21 @@ class TestSimulateReconstruct:
         code = run_cli("--config", config_path, "--out", out, "reconstruct")
         assert code == EXIT_VALIDATION
 
+    def test_tampered_counts_rejected(self, tmp_path, config_path, capsys):
+        out = tmp_path / "run"
+        run_cli("--config", config_path, "--out", out, "simulate")
+        path = out / "records_g2.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[5])
+        record["counts_up"][0] += 25
+        lines[5] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("--config", config_path, "--out", out, "reconstruct") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "records_g2.jsonl" in err and "phase 5" in err
+        assert not (out / "reconstruction.json").exists()
+
     def test_seed_override_changes_outputs(self, tmp_path, config_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         run_cli("--config", config_path, "--out", out_a, "simulate")

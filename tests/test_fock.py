@@ -1,9 +1,68 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.special import eval_genlaguerre, factorial
+from scipy.special import eval_genlaguerre, factorial, gammaln
 
 from wernerlike import fock
+
+
+def laguerre_diagonal(count, offset, y):
+    """L_k^(offset)(y) for k < count by the degree recurrence, one diagonal."""
+    y = np.asarray(y, dtype=float)
+    out = np.empty((count,) + y.shape, dtype=float)
+    out[0] = 1.0
+    if count > 1:
+        out[1] = 1.0 + offset - y
+    for k in range(1, count - 1):
+        out[k + 1] = ((2.0 * k + 1.0 + offset - y) * out[k] - (k + offset) * out[k - 1]) / (k + 1.0)
+    return out
+
+
+def amplitudes_per_diagonal(xs, n_rows, n_cols):
+    """Reference table <m|D(x)|n>, the kernel's former per-diagonal loop: one
+    Laguerre recurrence per matrix diagonal, each element evaluated in the
+    same floating-point order as the in-place kernel."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    out = np.zeros((xs.size, n_rows, n_cols))
+    zero = xs == 0.0
+    for p in np.where(zero)[0]:
+        np.fill_diagonal(out[p], 1.0)
+    idx = np.where(~zero)[0]
+    if idx.size == 0:
+        return out
+    x = xs[idx]
+    y = x * x
+    logx = np.log(x)
+    lg = gammaln(np.arange(max(n_rows, n_cols), dtype=float) + 1.0)
+    block = np.zeros((idx.size, n_rows, n_cols))
+    # lower triangle including the main diagonal: m = n + d
+    for d in range(n_rows):
+        count = min(n_cols, n_rows - d)
+        if count <= 0:
+            break
+        lag = laguerre_diagonal(count, d, y)  # (count, batch)
+        n_idx = np.arange(count)
+        pref = np.exp(
+            0.5 * (lg[n_idx][:, None] - lg[n_idx + d][:, None])
+            + d * logx[None, :]
+            - 0.5 * y[None, :]
+        )
+        block[:, n_idx + d, n_idx] = (pref * lag).T
+    # strict upper triangle: n = m + d, sign (-1)^d
+    for d in range(1, n_cols):
+        count = min(n_rows, n_cols - d)
+        if count <= 0:
+            break
+        lag = laguerre_diagonal(count, d, y)
+        m_idx = np.arange(count)
+        pref = np.exp(
+            0.5 * (lg[m_idx][:, None] - lg[m_idx + d][:, None])
+            + d * logx[None, :]
+            - 0.5 * y[None, :]
+        )
+        block[:, m_idx, m_idx + d] = ((-1.0) ** d * pref * lag).T
+    out[idx] = block
+    return out
 
 
 def expm_displacement(beta, dim):
@@ -135,6 +194,24 @@ class TestDisplacementOperator:
                     ref[m, n] = float(val) * (-1.0) ** d if m < n else float(val)
         f = fock.displacement_amplitudes(x, dim, dim)
         assert np.max(np.abs(f - ref)) < 1e-13
+
+    @pytest.mark.parametrize(
+        "xs, n_rows, n_cols",
+        [
+            ([0.6], 32, 60),
+            ([0.6], 60, 32),
+            ([0.0, 0.3, 0.6, 2.0], 32, 92),
+            (np.linspace(0.0, 9.6, 512), 32, 32),
+            ([1.2], 163, 163),
+            ([4.0], 80, 80),
+            ([0.6], 1, 5),
+            ([0.6], 5, 1),
+        ],
+    )
+    def test_batch_is_bit_identical_to_per_diagonal_reference(self, xs, n_rows, n_cols):
+        # record files depend on these tables bit for bit
+        got = fock.displacement_amplitudes_batch(xs, n_rows, n_cols)
+        assert np.array_equal(got, amplitudes_per_diagonal(xs, n_rows, n_cols))
 
     def test_displaced_support_is_sufficient(self):
         k = fock.displaced_support(8, 2.0)

@@ -130,6 +130,27 @@ class TestEstimateMarginals:
         with pytest.raises(ValueError, match="settings"):
             mc.estimate_marginals([b[0]] + a[1:])
 
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda rec: rec.counts_up.__setitem__(0, -5), "phase 7: negative counts"),
+            (lambda rec: setattr(rec, "counts_down", rec.counts_down[:-1]),
+             "phase 7: 12 up and 11"),
+            (lambda rec: rec.counts_up.__setitem__(0, rec.counts_up[0] + 25),
+             "phase 7: counts plus overflow sum to 125, not total_events = 100"),
+            (lambda rec: rec.counts_down.__setitem__(0, rec.counts_down[0] - 1),
+             "phase 7: counts plus overflow sum to 99"),
+            (lambda rec: setattr(rec, "seed", 4),
+             "phase 7: records mix different settings or seeds"),
+        ],
+        ids=["negative", "unequal-length", "excess-events", "missing-event", "mixed-seed"],
+    )
+    def test_tampered_record_rejected(self, state16, tamper, message):
+        records = mc.simulate_acquisition(state16, small_settings(), 100, seed=3)
+        tamper(records[7])
+        with pytest.raises(ValueError, match=message):
+            mc.estimate_marginals(records)
+
     def test_unbiasedness_over_seeds(self, state16):
         settings = small_settings()
         events = 400

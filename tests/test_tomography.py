@@ -28,6 +28,11 @@ def random_hybrid(rng, dim):
     )
 
 
+def order_operator(r, beta_abs, cdim):
+    """G^(r) with a measured window of cdim counts (n_max = n_cutoff)."""
+    return tg.order_operator(fock.displacement_amplitudes(beta_abs, cdim, cdim), r)
+
+
 def exact_datas(state, base):
     return [
         tg.exact_marginal_data(state, base.with_angles(*angles))
@@ -92,6 +97,34 @@ class TestMarginal:
                 direct = tg.marginal_w(hybrid07, s, n, base.theta, base.phi_spin, beta)
                 assert abs(tables[s, j, n] - direct) < 1e-12
 
+    @pytest.mark.parametrize("group", range(3))
+    def test_wide_tables_match_projector_route(self, hybrid07, group):
+        # every phase, both spins, counts up to the displaced support; the
+        # state is zero-padded so marginal_w accepts counts past its dim
+        settings = settings_full().with_angles(*tg.standard_setting_angles()[group])
+        rows = fock.displaced_support(31, 0.6)
+        assert rows == 60
+        tables = tg.ideal_marginal_tables(hybrid07, settings, rows=rows)
+        pad = [(0, rows - 32), (0, rows - 32)]
+        wide = states.HybridState(
+            **{name: np.pad(getattr(hybrid07, name), pad) for name in ("uu", "ud", "du", "dd")}
+        )
+        for j, phase in enumerate(settings.phases):
+            beta = 0.6 * np.exp(1j * phase)
+            for s in (fock.SPIN_DOWN, fock.SPIN_UP):
+                for n in (0, 1, 31, 59):
+                    direct = tg.marginal_w(wide, s, n, settings.theta, settings.phi_spin, beta)
+                    assert abs(tables[s, j, n] - direct) < 1e-14
+
+    @pytest.mark.parametrize("eta", [1.0, 0.9])
+    def test_window_and_overflow_sum_to_one(self, hybrid07, eta):
+        for angles in tg.standard_setting_angles():
+            window, overflow = tg.smeared_marginal_tables(
+                hybrid07, settings_full(eta).with_angles(*angles)
+            )
+            total = window.sum(axis=(0, 2)) + overflow.sum(axis=0)
+            np.testing.assert_allclose(total, 1.0, rtol=0.0, atol=1e-12)
+
     def test_count_range_guard(self, hybrid07):
         with pytest.raises(ValueError):
             tg.marginal_w(hybrid07, fock.SPIN_UP, 32, 0.0, 0.0, 0.1)
@@ -119,25 +152,25 @@ class TestFourier:
         base = settings_full()
         data = tg.exact_marginal_data(hybrid07, base)
         what = tg.fourier_coefficients(data.w[fock.SPIN_UP].T, r)
-        g = tg.build_G(r, 0.6, 31, 31)
+        g = order_operator(r, 0.6, 32)
         diag = np.array([hybrid07.uu[m + r, m] for m in range(32 - r)])
         np.testing.assert_allclose(what, g @ diag, atol=1e-8)
 
 
 class TestGMatrix:
     def test_zero_displacement_limits(self):
-        g0 = tg.build_G(0, 1e-300, 15, 15)
+        g0 = order_operator(0, 1e-300, 16)
         np.testing.assert_allclose(g0, np.eye(16), atol=1e-12)
-        g2 = tg.build_G(2, 1e-300, 15, 15)
+        g2 = order_operator(2, 1e-300, 16)
         np.testing.assert_allclose(g2, 0.0, atol=1e-12)
 
     def test_column_sums_with_adequate_truncation(self):
-        g = tg.build_G(0, 0.6, 31, 31)
+        g = order_operator(0, 0.6, 32)
         np.testing.assert_allclose(g[:, :9].sum(axis=0), 1.0, atol=1e-6)
         assert np.all(g >= 0.0)
 
     def test_shape(self):
-        assert tg.build_G(5, 0.6, 31, 31).shape == (32, 27)
+        assert order_operator(5, 0.6, 32).shape == (32, 27)
 
 
 class TestEfficiencySmear:
@@ -163,14 +196,14 @@ class TestEfficiencySmear:
 
 class TestPseudoInverse:
     def test_identity_system(self):
-        g = tg.build_G(0, 1e-300, 15, 15)
+        g = order_operator(0, 1e-300, 16)
         m, cond = tg.pseudo_inverse_M(g)
         np.testing.assert_allclose(m, np.eye(16), atol=1e-12)
         assert cond < 1.0 + 1e-9
 
     @pytest.mark.parametrize("r", range(6))
     def test_left_inverse_property(self, r):
-        g = tg.build_G(r, 0.6, 31, 31)
+        g = order_operator(r, 0.6, 32)
         m, cond = tg.pseudo_inverse_M(g)
         np.testing.assert_allclose(m @ g, np.eye(32 - r), atol=1e-8)
         assert np.isfinite(cond)
@@ -185,7 +218,7 @@ class TestPseudoInverse:
         data = tg.exact_marginal_data(hybrid07, base)
         r = 2
         what = tg.fourier_coefficients(data.w[fock.SPIN_UP].T, r)
-        m, _ = tg.pseudo_inverse_M(tg.build_G(r, 0.6, 31, 31))
+        m, _ = tg.pseudo_inverse_M(order_operator(r, 0.6, 32))
         est = m @ what
         truth = np.array([hybrid07.uu[k + r, k] for k in range(30)])
         np.testing.assert_allclose(est, truth, atol=1e-8)

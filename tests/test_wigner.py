@@ -232,6 +232,21 @@ class TestWignerGrid:
             assert np.max(np.abs(g_true.blocks[name] - g_est.blocks[name])) < 1e-6
 
 
+    def test_two_sources_of_different_size_in_one_grid(self, hybrid07):
+        # the CLI evaluates the true and reconstructed blocks together; the
+        # smaller source is zero-padded to the larger one's dim
+        small = states.build_hybrid_mixture(0.4, 20)
+        re_axis, im_axis = np.array([-1.2, 0.0, 0.7]), np.array([-0.5, 0.0, 0.5])
+        named = {("big", n): getattr(hybrid07, n) for n in wg.BLOCK_NAMES}
+        named.update({("small", n): getattr(small, n) for n in wg.BLOCK_NAMES})
+        joint = wg.wigner_grid(named, re_axis, im_axis)
+        assert joint.meta["state_dim"] == 32
+        for tag, state in (("big", hybrid07), ("small", small)):
+            alone = wg.wigner_grid(state, re_axis, im_axis)
+            for n in wg.BLOCK_NAMES:
+                assert np.max(np.abs(joint.blocks[tag, n] - alone.blocks[n])) < 1e-15
+
+
 class TestExport:
     def test_csv_and_sidecar(self, tmp_path, hybrid07):
         re_axis = np.arange(-1.0, 1.05, 0.5)
