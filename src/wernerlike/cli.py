@@ -245,6 +245,21 @@ def _load_marginals(config, records_dir):
     return datas
 
 
+def _check_manifest(config, records_dir):
+    """Reject records whose manifest was written for another run config."""
+    path = records_dir / "manifest.json"
+    if not path.exists():
+        return
+    manifest = json.loads(path.read_text())
+    expected = {"seed": config.seed, "backend": config.backend,
+                "config_hash": config.config_hash()}
+    for key, value in expected.items():
+        if manifest.get(key) != value:
+            raise ConfigError(
+                f"{path}: {key} {manifest.get(key)!r} does not match the run's {value!r}"
+            )
+
+
 def cmd_reconstruct(config, args):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -258,6 +273,7 @@ def cmd_reconstruct(config, args):
                 for angles in tomography.standard_setting_angles()
             ]
         else:
+            _check_manifest(config, records_dir)
             datas = _load_marginals(config, records_dir)
         estimate = tomography.reconstruct_full(datas, base)
         report = tomography.error_report(estimate, truth) if args.truth else None

@@ -34,11 +34,11 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock import (
     SPIN_DOWN,
     SPIN_UP,
+    _log_factorials,
     displaced_support,
     displacement_amplitudes,
     displacement_matrix,
@@ -193,9 +193,13 @@ def collapse_spin(state, projector):
 
 
 def marginal_w(state, spin_outcome, n, theta, phi_spin, beta):
-    """Single ideal marginal probability via the rank-1 projector route."""
-    if not 0 <= n < state.dim:
-        raise ValueError("count index n must satisfy 0 <= n < state dim")
+    """Single ideal marginal probability via the rank-1 projector route.
+
+    Any count index n >= 0 is allowed: <k|D(beta)|n> for k < state dim is
+    defined for every n.
+    """
+    if n < 0:
+        raise ValueError("count index n must be nonnegative")
     chi_spin = spin_rotation(theta, phi_spin)[:, spin_outcome]
     chi_osc = displacement_matrix(beta, state.dim, n + 1)[:, n]
     w = 0.0j
@@ -293,17 +297,17 @@ def binomial_matrix(eta, n_out, n_in):
         raise ValueError("eta must lie in (0, 1]")
     if eta == 1.0:
         return np.eye(n_out, n_in)
-    n = np.arange(n_out)[:, None].astype(float)
-    k = np.arange(n_in)[None, :].astype(float)
+    n = np.arange(n_out)[:, None]
+    k = np.arange(n_in)[None, :]
     valid = k >= n
-    with np.errstate(invalid="ignore", divide="ignore"):
-        logb = (
-            gammaln(k + 1.0)
-            - gammaln(n + 1.0)
-            - gammaln(k - n + 1.0)
-            + n * np.log(eta)
-            + (k - n) * np.log1p(-eta)
-        )
+    lg = _log_factorials(max(n_out, n_in))
+    logb = (
+        lg[k]
+        - lg[n]
+        - lg[np.maximum(k - n, 0)]
+        + n * np.log(eta)
+        + (k - n) * np.log1p(-eta)
+    )
     return np.where(valid, np.exp(np.where(valid, logb, -np.inf)), 0.0)
 
 
@@ -723,7 +727,7 @@ def write_estimate_json(path, estimate, extra=None):
     if extra:
         payload.update(extra)
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))
 
 
 def load_estimate_json(path):

@@ -7,13 +7,19 @@ trace.  Diagonal blocks are real; W_du = conj(W_ud).
 
 Since P D(-gamma) = D(gamma) P, the displaced parity is D(2 gamma) P (Royer,
 PRA 15, 449, 1977): W(gamma) = (2/pi) sum_{m,n<dim} rho_nm <m|D(2 gamma)|n> (-1)^n.
-The sum covers exactly the block's support, so it needs no parity cutoff and
-only a dim x dim Laguerre table per point; one (points x dim^2) @ (dim^2 x k)
-product gives all k blocks, e.g. the four blocks of both the true and the
-reconstructed state from one table.
+The sum covers exactly the block's support, so it needs no parity cutoff.
+With <m|D(x e^{i t})|n> = f_mn(x) e^{i(m-n) t} it splits by Fourier order
+r = m - n, as the tomography does:
+
+    W(gamma) = (2/pi) sum_r e^{i r arg gamma} S_r(|2 gamma|),
+    S_r(x) = sum_{m-n=r} f_mn(x) (-1)^n rho_nm,
+
+so a grid needs one real dim x dim Laguerre table per distinct |2 gamma|, not
+per point (a symmetric grid repeats each |gamma| up to eight times).  The
+per-order sums S_r are one small product per diagonal for all k blocks at
+once, e.g. the four blocks of both the true and the reconstructed state.
 """
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -110,20 +116,30 @@ def wigner_grid(blocks, re_axis, im_axis, chunk=512, expected_traces=None,
     re_axis = np.asarray(re_axis, dtype=float)
     im_axis = np.asarray(im_axis, dtype=float)
     points = (re_axis[None, :] + 1j * im_axis[:, None]).ravel()
-    # row m * dim + n of column k holds rho_nm of block k
+    # stacked[n, m, k] = rho_nm of block k; per order r = m - n, the block
+    # diagonal m = n + r times (-1)^n, shape (dim - |r|, k)
     stacked = np.zeros((dim, dim, len(blocks)), dtype=complex)
     for k, block in enumerate(blocks.values()):
-        stacked[: len(block), : len(block), k] = np.transpose(block)
-    stacked = stacked.reshape(dim * dim, len(blocks))
-    n = np.arange(dim)
+        stacked[: len(block), : len(block), k] = block
+    orders = np.arange(1 - dim, dim)
+    sign = (-1.0) ** np.arange(dim)
+    diagonals = [
+        np.diagonal(stacked, r).T * sign[max(-r, 0) : dim - max(r, 0), None] for r in orders
+    ]
+    xs = 2.0 * np.abs(points)
+    by_x = np.argsort(xs, kind="stable")
     values = np.empty((points.size, len(blocks)), dtype=complex)
     for start in range(0, points.size, chunk):
-        pts = points[start : start + chunk]
-        # <m|D(2 gamma)|n> (-1)^n = <m|D(2|gamma|)|n> e^{i(m-n) arg gamma} (-1)^n
-        rot = np.exp(1j * np.angle(pts)[:, None] * n)
-        table = displacement_amplitudes_batch(2.0 * np.abs(pts), dim, dim) * (-1.0) ** n
-        table = table * rot[:, :, None] * rot.conj()[:, None, :]
-        values[start : start + pts.size] = table.reshape(pts.size, dim * dim) @ stacked
+        idx = by_x[start : start + chunk]
+        distinct, which = np.unique(xs[idx], return_inverse=True)
+        table = displacement_amplitudes_batch(distinct, dim, dim)
+        # sums[u, r, k] = S_r(x_u) of block k; f_mn with m - n = r lies on
+        # the table's diagonal -r
+        sums = np.empty((distinct.size, orders.size, len(blocks)), dtype=complex)
+        for i, r in enumerate(orders):
+            sums[:, i] = np.diagonal(table, -r, 1, 2) @ diagonals[i]
+        waves = np.exp(1j * np.outer(np.angle(points[idx]), orders))
+        values[idx] = np.einsum("pr,prk->pk", waves, sums[which])
     shape = (im_axis.size, re_axis.size)
     surfaces = {k: 2.0 / np.pi * values[:, i].reshape(shape) for i, k in enumerate(blocks)}
     grid = WignerGrid(re_axis=re_axis, im_axis=im_axis, blocks=surfaces, meta={"state_dim": dim})
@@ -143,20 +159,20 @@ def profile_maxima(x, y):
 
 
 def write_grid_csv(path, grid, comments=()):
-    """Columns (re_gamma, im_gamma, block, re_W, im_W), one row per sample."""
+    """Columns (re_gamma, im_gamma, block, re_W, im_W), one row per sample.
+
+    Rows end in CRLF and no field is quoted, as ``csv.writer`` writes them.
+    """
+    coords = [f"{gr:.12g},{gi:.12g}," for gi in grid.im_axis for gr in grid.re_axis]
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(("re_gamma", "im_gamma", "block", "re_W", "im_W"))
+        fh.write("re_gamma,im_gamma,block,re_W,im_W\r\n")
         for name in BLOCK_NAMES:
-            surf = grid.blocks[name]
-            for i, gi in enumerate(grid.im_axis):
-                for j, gr in enumerate(grid.re_axis):
-                    w = surf[i, j]
-                    writer.writerow(
-                        (f"{gr:.12g}", f"{gi:.12g}", name, f"{w.real:.12g}", f"{w.imag:.12g}")
-                    )
+            values = grid.blocks[name].ravel().tolist()
+            fh.write("".join(
+                f"{xy}{name},{w.real:.12g},{w.imag:.12g}\r\n" for xy, w in zip(coords, values)
+            ))
 
 
 def write_grid_meta(path, grid, extra=None):
@@ -169,4 +185,4 @@ def write_grid_meta(path, grid, extra=None):
     if extra:
         payload.update(extra)
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))

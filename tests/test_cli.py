@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +171,49 @@ class TestSimulateReconstruct:
         assert (out_a / "records_g0.jsonl").read_bytes() != (
             out_b / "records_g0.jsonl"
         ).read_bytes()
+
+
+class TestManifestCheck:
+    def test_seed_override_rejected_before_inversion(self, tmp_path, config_path, capsys):
+        out = tmp_path / "run"
+        run_cli("--config", config_path, "--out", out, "simulate")
+        capsys.readouterr()
+        code = run_cli("--config", config_path, "--seed", 43, "--out", out, "reconstruct")
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "seed" in err
+        assert not (out / "reconstruction.json").exists()
+        # exact marginals read no records, so the manifest does not apply
+        assert run_cli("--config", config_path, "--seed", 43, "--out", out,
+                       "reconstruct", "--exact") == EXIT_OK
+
+    def test_backend_mismatch_rejected(self, tmp_path, config_path, capsys):
+        trap_cfg = tmp_path / "trap.cfg"
+        trap_cfg.write_text(SMALL_CONFIG.replace("backend = density", "backend = trap"))
+        out = tmp_path / "run"
+        run_cli("--config", trap_cfg, "--out", out, "simulate")
+        capsys.readouterr()
+        assert run_cli("--config", config_path, "--out", out, "reconstruct") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "backend" in err
+        assert not (out / "reconstruction.json").exists()
+
+    def test_matching_manifest_accepted(self, tmp_path, config_path):
+        out = tmp_path / "run"
+        run_cli("--config", config_path, "--seed", 43, "--out", out, "simulate")
+        assert run_cli("--config", config_path, "--seed", 43, "--out", out,
+                       "reconstruct") == EXIT_OK
+        payload = json.loads((out / "reconstruction.json").read_text())
+        assert payload["seed"] == 43
+
+
+def test_cli_import_needs_no_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, wernerlike.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "[]"
 
 
 class TestWignerCommand:

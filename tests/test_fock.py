@@ -33,7 +33,7 @@ def amplitudes_per_diagonal(xs, n_rows, n_cols):
     x = xs[idx]
     y = x * x
     logx = np.log(x)
-    lg = gammaln(np.arange(max(n_rows, n_cols), dtype=float) + 1.0)
+    lg = fock._log_factorials(max(n_rows, n_cols))
     block = np.zeros((idx.size, n_rows, n_cols))
     # lower triangle including the main diagonal: m = n + d
     for d in range(n_rows):
@@ -69,6 +69,13 @@ def expm_displacement(beta, dim):
     """Independent displacement operator via the matrix exponential."""
     a = np.diag(np.sqrt(np.arange(1, dim)), k=1)
     return expm(beta * a.conj().T - np.conj(beta) * a)
+
+
+def test_log_factorials_match_gammaln():
+    lg = fock._log_factorials(5000)
+    assert lg[0] == 0.0 and lg[1] == 0.0
+    ref = gammaln(np.arange(2, 5000) + 1.0)
+    assert np.max(np.abs(lg[2:] - ref) / ref) < 1e-15
 
 
 class TestCoherentState:

@@ -125,9 +125,21 @@ class TestMarginal:
             total = window.sum(axis=(0, 2)) + overflow.sum(axis=0)
             np.testing.assert_allclose(total, 1.0, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("group", range(3))
+    def test_counts_past_the_state_dim(self, hybrid07, group):
+        # the overflow counts n >= dim, without zero-padding the state
+        settings = settings_full().with_angles(*tg.standard_setting_angles()[group])
+        tables = tg.ideal_marginal_tables(hybrid07, settings, rows=60)
+        for j, phase in enumerate(settings.phases):
+            beta = 0.6 * np.exp(1j * phase)
+            for s in (fock.SPIN_DOWN, fock.SPIN_UP):
+                for n in (32, 45, 59):
+                    direct = tg.marginal_w(hybrid07, s, n, settings.theta, settings.phi_spin, beta)
+                    assert abs(tables[s, j, n] - direct) < 1e-14
+
     def test_count_range_guard(self, hybrid07):
         with pytest.raises(ValueError):
-            tg.marginal_w(hybrid07, fock.SPIN_UP, 32, 0.0, 0.0, 0.1)
+            tg.marginal_w(hybrid07, fock.SPIN_UP, -1, 0.0, 0.0, 0.1)
 
 
 class TestFourier:

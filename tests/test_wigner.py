@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -44,6 +46,54 @@ def parity_cutoff_grid(blocks, re_axis, im_axis):
             c = np.einsum("jk,jl,lk->k", a.conj(), blocks[name], a)
             out[name][p] = TWO_OVER_PI * (parity * c).sum()
     return {name: v.reshape(im_axis.size, re_axis.size) for name, v in out.items()}
+
+
+def per_point_grid(blocks, re_axis, im_axis, chunk=512):
+    """Reference: the former per-point evaluation, one complex dim x dim table
+    <m|D(2 gamma)|n> (-1)^n per grid point against all blocks at once."""
+    dim = max(len(block) for block in blocks.values())
+    points = (re_axis[None, :] + 1j * im_axis[:, None]).ravel()
+    stacked = np.zeros((dim, dim, len(blocks)), dtype=complex)
+    for k, block in enumerate(blocks.values()):
+        stacked[: len(block), : len(block), k] = np.transpose(block)
+    stacked = stacked.reshape(dim * dim, len(blocks))
+    n = np.arange(dim)
+    values = np.empty((points.size, len(blocks)), dtype=complex)
+    for start in range(0, points.size, chunk):
+        pts = points[start : start + chunk]
+        rot = np.exp(1j * np.angle(pts)[:, None] * n)
+        table = fock.displacement_amplitudes_batch(2.0 * np.abs(pts), dim, dim) * (-1.0) ** n
+        table = table * rot[:, :, None] * rot.conj()[:, None, :]
+        values[start : start + pts.size] = table.reshape(pts.size, dim * dim) @ stacked
+    shape = (im_axis.size, re_axis.size)
+    return {k: TWO_OVER_PI * values[:, i].reshape(shape) for i, k in enumerate(blocks)}
+
+
+def csv_writer_grid(path, grid, comments=()):
+    """Reference: the former ``csv.writer`` export, row by row."""
+    with open(path, "w", newline="") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(("re_gamma", "im_gamma", "block", "re_W", "im_W"))
+        for name in wg.BLOCK_NAMES:
+            surf = grid.blocks[name]
+            for i, gi in enumerate(grid.im_axis):
+                for j, gr in enumerate(grid.re_axis):
+                    w = surf[i, j]
+                    writer.writerow(
+                        (f"{gr:.12g}", f"{gi:.12g}", name, f"{w.real:.12g}", f"{w.imag:.12g}")
+                    )
+
+
+def random_blocks(rng, sizes, scale):
+    """Hermitian and non-Hermitian blocks of mixed sizes, max |entry| = scale."""
+    blocks = {}
+    for k, dim in enumerate(sizes):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        blocks[f"b{k}"] = a + a.conj().T if k % 2 == 0 else a
+    top = max(np.abs(b).max() for b in blocks.values())
+    return {name: scale / top * b for name, b in blocks.items()}
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +257,27 @@ class TestWignerGrid:
         for name in wg.BLOCK_NAMES:
             assert np.max(np.abs(grid.blocks[name] - ref[name])) < 1e-12 * scale
 
+    @pytest.mark.parametrize("axes", ["default", "skewed"])
+    def test_per_order_sums_match_per_point_reference(self, axes):
+        rng = np.random.default_rng(5)
+        scale = 4e4
+        blocks = random_blocks(rng, (20, 32, 32, 20), scale)
+        if axes == "default":
+            re_axis, im_axis = wg.default_axes(0.7)
+        else:  # no symmetry: every |gamma| distinct but the origin's
+            re_axis = np.array([-2.9, -1.13, -0.4, 0.0, 0.52, 1.7, 3.3])
+            im_axis = np.array([-2.2, -0.35, 0.0, 0.81, 2.6])
+        ref = per_point_grid(blocks, re_axis, im_axis)
+        grid = wg.wigner_grid(blocks, re_axis, im_axis)
+        assert grid.meta["state_dim"] == 32
+        for name in blocks:
+            assert np.max(np.abs(grid.blocks[name] - ref[name])) < 1e-12 * scale
+        origin = wg.wigner_grid(blocks, [0.0], [0.0])
+        for name, block in blocks.items():
+            # D(0) = 1: W(0) = (2/pi) sum_n (-1)^n rho_nn
+            parity_trace = TWO_OVER_PI * np.sum((-1.0) ** np.arange(len(block)) * np.diag(block))
+            assert abs(origin.blocks[name][0, 0] - parity_trace) < 1e-12 * scale
+
     def test_point_equals_grid_sample(self, grid07, hybrid07):
         for i, j in ((0, 0), (30, 37), (12, 50), (60, 74)):
             gamma = complex(grid07.re_axis[j], grid07.im_axis[i])
@@ -248,6 +319,17 @@ class TestWignerGrid:
 
 
 class TestExport:
+    def test_csv_bytes_match_csv_writer(self, tmp_path, grid07):
+        im_axis = grid07.im_axis.copy()
+        im_axis[0] = -0.0
+        blocks = {name: grid07.blocks[name].copy() for name in wg.BLOCK_NAMES}
+        blocks["uu"][0, :5] = [-0.0, 1e-300, -1e300 + 5e-324j, complex(-0.0, -0.0), np.nan]
+        grid = wg.WignerGrid(grid07.re_axis, im_axis, blocks)
+        comments = ["config_hash=xyz", "seed=7"]
+        wg.write_grid_csv(tmp_path / "got.csv", grid, comments=comments)
+        csv_writer_grid(tmp_path / "ref.csv", grid, comments=comments)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_csv_and_sidecar(self, tmp_path, hybrid07):
         re_axis = np.arange(-1.0, 1.05, 0.5)
         im_axis = np.arange(-0.5, 0.55, 0.5)
