@@ -9,9 +9,7 @@ from .fock import (
     SPIN_UP,
     TruncationError,
     coherent_state,
-    displacement_element,
     displacement_matrix,
-    displacement_operator,
     hermitian_eigenvalues,
     spin_rotation,
 )
@@ -34,11 +32,9 @@ from .tomography import (
     MarginalData,
     SingularSystemError,
     TomographySettings,
-    efficiency_smear,
     exact_marginal_data,
     fourier_coefficients,
     marginal_w,
-    pseudo_inverse_M,
     reconstruct_full,
 )
 from .montecarlo import MeasurementRecord, estimate_marginals, simulate_acquisition

@@ -384,7 +384,8 @@ def cmd_verify(config, args):
             if payload["config_hash"] != expected:
                 problems.append(f"{path.name}: config_hash mismatch")
     for path in sorted(outdir.glob("*.csv")):
-        head = path.read_text().splitlines()[:4]
+        with path.open() as fh:
+            head = [fh.readline().rstrip("\n") for _ in range(4)]
         stamps = [line for line in head if line.startswith("# config_hash=")]
         if stamps:
             checked += 1

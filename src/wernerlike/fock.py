@@ -37,11 +37,9 @@ __all__ = [
     "SIGMA3",
     "TruncationError",
     "coherent_state",
-    "displacement_element",
     "displacement_amplitudes",
     "displacement_amplitudes_batch",
     "displacement_matrix",
-    "displacement_operator",
     "displaced_support",
     "spin_rotation",
     "hermitian_eigenvalues",
@@ -142,7 +140,9 @@ def displacement_amplitudes(x, n_rows, n_cols):
 def displacement_matrix(beta, n_rows, n_cols):
     """Rectangular block of <m|D(beta)|n> for complex beta.
 
-    Phase convention: <m|D(x e^{i phi})|n> = <m|D(x)|n> e^{i(m-n) phi}.
+    Phase convention: <m|D(x e^{i phi})|n> = <m|D(x)|n> e^{i(m-n) phi}.  A
+    square block is the truncated operator, unitary up to leakage in its last
+    rows and columns.
     """
     beta = complex(beta)
     x = abs(beta)
@@ -151,21 +151,6 @@ def displacement_matrix(beta, n_rows, n_cols):
         phase = beta / x
         f *= phase ** (np.arange(n_rows)[:, None] - np.arange(n_cols)[None, :])
     return f
-
-
-def displacement_operator(beta, dim):
-    """Square displacement operator on the truncated space (unitary up to
-    truncation leakage in the last rows/columns)."""
-    if dim < 1:
-        raise ValueError("dim must be a positive integer")
-    return displacement_matrix(beta, dim, dim)
-
-
-def displacement_element(m, n, beta):
-    """Single matrix element <m|D(beta)|n>, read from the kernel's table."""
-    if m < 0 or n < 0:
-        raise ValueError("Fock indices must be nonnegative")
-    return complex(displacement_matrix(beta, m + 1, n + 1)[m, n])
 
 
 def displaced_support(n_top, beta_abs, tol=1e-13):

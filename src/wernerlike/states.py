@@ -41,8 +41,6 @@ __all__ = [
     "partial_transpose",
     "negativity",
     "hilbert_schmidt_decomposition",
-    "hs_reassemble",
-    "correlation_matrix",
     "teleportation_fidelity",
     "fidelity_threshold",
     "metric_sweep",
@@ -52,7 +50,9 @@ __all__ = [
     "CLASSICAL_FIDELITY",
 ]
 
-PAULIS = (SIGMA1, SIGMA2, SIGMA3)
+#: PAULI_PRODUCTS[i, j] = P_i (x) P_j with P = (I, sigma1, sigma2, sigma3)
+_PAULI_BASIS = (np.eye(2, dtype=complex), SIGMA1, SIGMA2, SIGMA3)
+PAULI_PRODUCTS = np.array([[np.kron(p, q) for q in _PAULI_BASIS] for p in _PAULI_BASIS])
 
 #: classical benchmark for teleporting an unknown qubit without entanglement
 CLASSICAL_FIDELITY = 2.0 / 3.0
@@ -61,7 +61,7 @@ NEGATIVE_EIGENVALUE_TOL = 1e-10
 
 
 class BracketError(ValueError):
-    """A root bracket does not straddle a sign change."""
+    """A teleportation-fidelity level that no finite coherent amplitude reaches."""
 
 
 # ----------------------------------------------------------------------
@@ -237,66 +237,33 @@ class HSDecomposition:
 
 
 def hilbert_schmidt_decomposition(rho):
-    rho = np.asarray(rho, dtype=complex)
-    eye = np.eye(2, dtype=complex)
-    r = np.array([np.trace(rho @ np.kron(p, eye)).real for p in PAULIS])
-    s = np.array([np.trace(rho @ np.kron(eye, p)).real for p in PAULIS])
-    t = np.array(
-        [[np.trace(rho @ np.kron(p, q)).real for q in PAULIS] for p in PAULIS]
-    )
-    return HSDecomposition(r=r, s=s, t=t)
-
-
-def hs_reassemble(dec):
-    """Inverse of the decomposition: (1/4)[I + r.sigma (x) I + ...]."""
-    eye = np.eye(2, dtype=complex)
-    out = np.kron(eye, eye).astype(complex)
-    for i, p in enumerate(PAULIS):
-        out += dec.r[i] * np.kron(p, eye)
-        out += dec.s[i] * np.kron(eye, p)
-        for j, q in enumerate(PAULIS):
-            out += dec.t[i, j] * np.kron(p, q)
-    return out / 4.0
-
-
-def correlation_matrix(rho):
-    return hilbert_schmidt_decomposition(rho).t
+    """All 15 coefficients Tr[rho P_i (x) P_j] in one contraction."""
+    c = np.einsum("ab,ijba->ij", np.asarray(rho, dtype=complex), PAULI_PRODUCTS).real
+    return HSDecomposition(r=c[1:, 0], s=c[0, 1:], t=c[1:, 1:])
 
 
 def teleportation_fidelity(rho):
     """F = (1/2)[1 + Tr sqrt(T^t T) / 3] via the singular values of T."""
-    t = correlation_matrix(rho)
+    t = hilbert_schmidt_decomposition(rho).t
     return float(0.5 * (1.0 + np.linalg.svd(t, compute_uv=False).sum() / 3.0))
 
 
-def fidelity_threshold(level=CLASSICAL_FIDELITY, bracket=(1e-4, 2.0), tol=1e-6):
-    """Coherent amplitude at which the mapped-state fidelity crosses ``level``.
+def fidelity_threshold(level=CLASSICAL_FIDELITY):
+    """Coherent amplitude at which the mapped-state fidelity reaches ``level``.
 
-    Bisection on F(alpha) - level; raises BracketError when the bracket ends
-    do not straddle the level (F approaches 3/4 from below, so e.g.
-    level = 3/4 has no root).
+    T of the mapped qubit has singular values 1/2, s/2, s/2 with
+    s = sqrt(1 - kappa^2), so F = 7/12 + s/6 rises from 7/12 at alpha = 0
+    towards 3/4.  The crossing is s = 6 level - 7/2, kappa = sqrt(1 - s^2),
+    alpha = sqrt(-ln(kappa) / 2) = sqrt(-ln(1 - s^2) / 4).  Raises
+    BracketError when s lies outside [0, 1), i.e. for level < 7/12 or
+    level >= 3/4.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-
-    def gap(a):
-        return teleportation_fidelity(mapped_qubit_from_alpha(a)) - level
-
-    glo, ghi = gap(lo), gap(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if glo * ghi > 0.0:
+    s = 6.0 * float(level) - 3.5
+    if not 0.0 <= s < 1.0:
         raise BracketError(
-            f"fidelity - {level:.6g} has no sign change on ({lo:.4g}, {hi:.4g})"
+            f"fidelity level {level:.6g} lies outside [7/12, 3/4), the range of F(alpha)"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if glo * gap(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return float(np.sqrt(-0.25 * np.log1p(-s * s)))
 
 
 # ----------------------------------------------------------------------

@@ -20,8 +20,11 @@ one G^(r) product per order:
     w(n; phase_j) = Re sum_r c_r e^{-i r phase_j} (G^(r) diag_r(rho_Q))_n
 
 with c_0 = 1, c_r = 2 and diag_r(rho_Q)_m = <m+r|rho_Q|m>.  Detector
-efficiency eta < 1 folds a binomial smearing matrix into the system before
-inversion, so the estimator stays unbiased.
+efficiency eta folds the binomial response B(eta) into both directions: the
+detected window is B applied to the ideal counts on the displaced support, and
+the inverted system is B G^(r) on the same extended count range, so the
+estimator stays unbiased.  The fold is always applied; B(1) is the identity
+block, so at eta = 1 it only cuts the window.
 
 Per-order systems whose singular values fall below an absolute floor are
 truncated: a uniformly tiny G (e.g. the far off-diagonal orders at small
@@ -62,10 +65,8 @@ __all__ = [
     "exact_marginal_data",
     "fourier_coefficients",
     "binomial_matrix",
-    "efficiency_smear",
-    "pseudo_inverse_M",
+    "detected_window",
     "inversion_systems",
-    "propagate_errors",
     "reconstruct_hermitian",
     "reconstruct_block_diagonal",
     "reconstruct_block_offdiagonal",
@@ -76,7 +77,6 @@ __all__ = [
     "estimate_from_json_dict",
 ]
 
-CONDITION_LIMIT = 1e12
 SINGULAR_FLOOR = 1e-9
 
 #: (theta, phi) presets: diagonal blocks, real part, imaginary part
@@ -246,15 +246,7 @@ def smeared_marginal_tables(state, settings):
     """
     rows = displaced_support(state.dim - 1, settings.beta_abs)
     wide = ideal_marginal_tables(state, settings, rows)
-    win = settings.n_max + 1
-    if settings.eta < 1.0:
-        b = binomial_matrix(settings.eta, win, rows)
-        window = wide @ b.T
-    else:
-        window = wide[..., :win].copy()
-    total = wide.sum(axis=-1)
-    overflow = np.clip(total - window.sum(axis=-1), 0.0, None)
-    return window, overflow
+    return detected_window(wide, binomial_matrix(settings.eta, settings.n_max + 1, rows))
 
 
 def exact_marginal_data(state, settings):
@@ -311,33 +303,12 @@ def binomial_matrix(eta, n_out, n_in):
     return np.where(valid, np.exp(np.where(valid, logb, -np.inf)), 0.0)
 
 
-def efficiency_smear(w, eta):
-    """Apply the binomial detection response along the last axis."""
-    w = np.asarray(w, dtype=float)
-    if float(w.sum(axis=-1).max()) > 1.0 + 1e-8:
-        raise ValueError("input exceeds unit total probability")
-    b = binomial_matrix(eta, w.shape[-1], w.shape[-1])
-    return w @ b.T
-
-
-def pseudo_inverse_M(g, context=None):
-    """Least-squares pseudo-inverse M = (G^T G)^-1 G^T via SVD.
-
-    Returns (M, condition number of G^T G); raises SingularSystemError when
-    the condition number exceeds 1e12.
-    """
-    g = np.asarray(g, dtype=float)
-    s = np.linalg.svd(g, compute_uv=False)
-    if s[-1] == 0.0 or not np.isfinite(s).all():
-        cond = np.inf
-    else:
-        cond = float((s[0] / s[-1]) ** 2)
-    if cond > CONDITION_LIMIT:
-        where = f" at {context}" if context else ""
-        raise SingularSystemError(
-            f"normal-equation condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}{where}"
-        )
-    return np.linalg.pinv(g), cond
+def detected_window(wide, b):
+    """Fold ideal counts (last axis) through B: the detected window wide @ B^T
+    and the detected mass beyond it, clipped at zero."""
+    window = wide @ b.T
+    overflow = np.clip(wide.sum(axis=-1) - window.sum(axis=-1), 0.0, None)
+    return window, overflow
 
 
 @dataclass(frozen=True)
@@ -355,23 +326,17 @@ class OrderSystem:
 def inversion_systems(settings):
     """Per-order folded systems for the given settings (cached).
 
-    For eta < 1 the system is B(eta) G evaluated on an extended ideal-count
-    range, so the detected-count rows are exact.  Singular values below
-    SINGULAR_FLOOR are truncated; the per-order diagnostics record how many.
+    The system is B(eta) G^(r) evaluated on an extended ideal-count range, so
+    the detected-count rows are exact.  Singular values below SINGULAR_FLOOR
+    are truncated; the per-order diagnostics record how many.
     """
     cdim = settings.n_cutoff + 1
-    if settings.eta < 1.0:
-        kext = max(displaced_support(settings.n_cutoff, settings.beta_abs), settings.n_max + 1)
-        f = displacement_amplitudes(settings.beta_abs, cdim, kext)
-        b = binomial_matrix(settings.eta, settings.n_max + 1, kext)
-    else:
-        f = displacement_amplitudes(settings.beta_abs, cdim, settings.n_max + 1)
-        b = None
+    kext = max(displaced_support(settings.n_cutoff, settings.beta_abs), settings.n_max + 1)
+    f = displacement_amplitudes(settings.beta_abs, cdim, kext)
+    b = binomial_matrix(settings.eta, settings.n_max + 1, kext)
     systems = []
     for r in range(cdim):
-        g = order_operator(f, r)
-        if b is not None:
-            g = b @ g
+        g = b @ order_operator(f, r)
         u, s, vt = np.linalg.svd(g, full_matrices=False)
         keep = s > SINGULAR_FLOOR
         if keep.any():
@@ -405,13 +370,6 @@ def _second_moments(m, phases, order, variance):
     var_im = m2 @ ((s * s) @ variance) / nphi**2
     cov = m2 @ ((c * s) @ variance) / nphi**2
     return var_re, var_im, cov
-
-
-def propagate_errors(m, phases, order, variance):
-    """Standard deviations (real, imaginary) of the order-r diagonal estimate."""
-    var_re, var_im, _ = _second_moments(np.asarray(m, float), np.asarray(phases, float),
-                                        order, np.asarray(variance, float))
-    return np.sqrt(var_re), np.sqrt(var_im)
 
 
 # ----------------------------------------------------------------------

@@ -25,11 +25,11 @@ from .fock import (
     SPIN_UP,
     coherent_state,
     displacement_amplitudes,
-    displacement_operator,
+    displacement_matrix,
     displaced_support,
     spin_rotation,
 )
-from .tomography import binomial_matrix
+from .tomography import binomial_matrix, detected_window
 
 __all__ = [
     "SpinRotation",
@@ -102,13 +102,12 @@ def apply_pulse(state, pulse):
     if isinstance(pulse, SpinRotation):
         out = spin_rotation(pulse.theta, pulse.phi) @ amp
     elif isinstance(pulse, Displacement):
-        d = displacement_operator(pulse.beta, state.dim)
-        out = amp @ d.T
+        out = amp @ displacement_matrix(pulse.beta, state.dim, state.dim).T
     elif isinstance(pulse, ConditionalDisplacement):
         plus = (amp[SPIN_UP] + amp[SPIN_DOWN]) / _SQRT2
         minus = (amp[SPIN_UP] - amp[SPIN_DOWN]) / _SQRT2
-        vp = displacement_operator(pulse.alpha, state.dim) @ plus
-        vm = displacement_operator(-pulse.alpha, state.dim) @ minus
+        vp = displacement_matrix(pulse.alpha, state.dim, state.dim) @ plus
+        vm = displacement_matrix(-pulse.alpha, state.dim, state.dim) @ minus
         out = np.stack([(vp - vm) / _SQRT2, (vp + vm) / _SQRT2])
     else:
         raise TypeError(f"unknown pulse type {type(pulse).__name__}")
@@ -221,7 +220,7 @@ def simulate_trap_acquisition(alpha, settings, events_per_phase, seed, dim=32,
     comp_amps = [component_state(lbl, alpha, dim).amplitudes for lbl in COMPONENT_LABELS]
     rows = displaced_support(dim - 1, settings.beta_abs)
     win = settings.n_max + 1
-    smear = binomial_matrix(settings.eta, win, rows) if settings.eta < 1.0 else None
+    smear = binomial_matrix(settings.eta, win, rows)
     u_inv = spin_rotation(-settings.theta, settings.phi_spin)
     # one real table per exact |beta_j| keeps dmat bit-identical to displacement_matrix
     betas = [complex(-(settings.beta_abs * np.exp(1j * phase))) for phase in settings.phases]
@@ -238,12 +237,7 @@ def simulate_trap_acquisition(alpha, settings, events_per_phase, seed, dim=32,
             if n_runs == 0:
                 continue
             moved = u_inv @ (amp @ dmat.T)
-            probs = np.abs(moved) ** 2
-            if smear is not None:
-                window = probs @ smear.T
-            else:
-                window = probs[:, :win].copy()
-            overflow = np.clip(probs.sum(axis=1) - window.sum(axis=1), 0.0, None)
+            window, overflow = detected_window(np.abs(moved) ** 2, smear)
             c, o = montecarlo.sample_phase_counts(rng, int(n_runs), window, overflow)
             counts += c
             over += o

@@ -20,7 +20,6 @@ per-order sums S_r are one small product per diagonal for all k blocks at
 once, e.g. the four blocks of both the true and the reconstructed state.
 """
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -35,7 +34,6 @@ __all__ = [
     "WignerGrid",
     "profile_maxima",
     "write_grid_csv",
-    "write_grid_meta",
 ]
 
 BLOCK_NAMES = ("uu", "ud", "du", "dd")
@@ -100,15 +98,13 @@ class WignerGrid:
             )
 
 
-def wigner_grid(blocks, re_axis, im_axis, chunk=512, expected_traces=None,
-                normalization_tol=1e-3):
+def wigner_grid(blocks, re_axis, im_axis, chunk=512):
     """Evaluate the surfaces of named oscillator-space blocks on the grid.
 
     ``blocks`` maps names to square arrays (a HybridState gives its four
     blocks uu/ud/du/dd); ``grid.blocks`` uses the same names.  Blocks of
     different sizes are zero-padded to the largest, ``meta["state_dim"]``.
-    When expected_traces is given, the grid integrals are checked against
-    them and a coverage warning is emitted on failure.
+    ``grid.check_normalization`` compares the grid integrals with the traces.
     """
     if hasattr(blocks, "uu"):
         blocks = {name: getattr(blocks, name) for name in BLOCK_NAMES}
@@ -142,10 +138,7 @@ def wigner_grid(blocks, re_axis, im_axis, chunk=512, expected_traces=None,
         values[idx] = np.einsum("pr,prk->pk", waves, sums[which])
     shape = (im_axis.size, re_axis.size)
     surfaces = {k: 2.0 / np.pi * values[:, i].reshape(shape) for i, k in enumerate(blocks)}
-    grid = WignerGrid(re_axis=re_axis, im_axis=im_axis, blocks=surfaces, meta={"state_dim": dim})
-    if expected_traces is not None:
-        grid.check_normalization(expected_traces, normalization_tol)
-    return grid
+    return WignerGrid(re_axis=re_axis, im_axis=im_axis, blocks=surfaces, meta={"state_dim": dim})
 
 
 def profile_maxima(x, y):
@@ -173,16 +166,3 @@ def write_grid_csv(path, grid, comments=()):
             fh.write("".join(
                 f"{xy}{name},{w.real:.12g},{w.imag:.12g}\r\n" for xy, w in zip(coords, values)
             ))
-
-
-def write_grid_meta(path, grid, extra=None):
-    payload = {
-        "re_axis": grid.re_axis.tolist(),
-        "im_axis": grid.im_axis.tolist(),
-        "blocks": list(BLOCK_NAMES),
-        "meta": grid.meta,
-    }
-    if extra:
-        payload.update(extra)
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload))

@@ -189,10 +189,8 @@ def test_criterion_7_wigner_structure(truth32):
     # survives only as a shoulder (two maxima appear above alpha ~ 0.85) -
     # so the two-maxima clause is asserted as stated and fails honestly.
     re_axis, im_axis = wg.default_axes(FIG4_ALPHA, spacing=0.1)
-    grid = wg.wigner_grid(
-        truth32, re_axis, im_axis,
-        expected_traces={"uu": 0.5, "dd": 0.5, "ud": np.trace(truth32.ud)},
-    )
+    grid = wg.wigner_grid(truth32, re_axis, im_axis)
+    grid.check_normalization({"uu": 0.5, "dd": 0.5, "ud": np.trace(truth32.ud)})
     norm_ok = bool(grid.meta["normalization_ok"])
     x, y = grid.line_profile("uu", 0.0)
     peaks = wg.profile_maxima(x, y.real)

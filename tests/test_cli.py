@@ -253,6 +253,15 @@ class TestVerify:
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert run_cli("--config", config_path, "--out", out, "verify") == EXIT_VALIDATION
 
+    def test_tampered_csv_stamp_detected(self, tmp_path, config_path, capsys):
+        out = tmp_path / "run"
+        run_cli("--config", config_path, "--out", out, "metrics", "--steps", 5)
+        path = out / "metrics.csv"
+        text = path.read_text()
+        path.write_text(text.replace("# config_hash=", "# config_hash=0", 1))
+        assert run_cli("--config", config_path, "--out", out, "verify") == EXIT_VALIDATION
+        assert "metrics.csv: config_hash mismatch" in capsys.readouterr().err
+
     def test_empty_directory_rejected(self, tmp_path, config_path):
         out = tmp_path / "nothing"
         out.mkdir()

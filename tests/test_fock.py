@@ -102,28 +102,32 @@ class TestCoherentState:
     def test_matches_displaced_vacuum(self):
         for alpha in (0.7, -0.4, 0.3 + 0.5j):
             amp = fock.coherent_state(alpha, 32)
-            column = fock.displacement_operator(alpha, 32)[:, 0]
+            column = fock.displacement_matrix(alpha, 32, 32)[:, 0]
             np.testing.assert_allclose(amp, column, atol=1e-10)
 
 
 class TestDisplacementElement:
+    """Single elements <m|D(beta)|n>, read from displacement_matrix blocks."""
+
     def test_vacuum_values(self):
-        assert abs(fock.displacement_element(0, 0, 0.6) - np.exp(-0.18)) < 1e-12
-        assert abs(fock.displacement_element(1, 0, 0.6) - 0.6 * np.exp(-0.18)) < 1e-12
-        assert abs(fock.displacement_element(0, 0, 0.6) - 0.835270) < 1e-6
-        assert abs(fock.displacement_element(1, 0, 0.6) - 0.501162) < 1e-6
+        d = fock.displacement_matrix(0.6, 2, 1)
+        assert abs(d[0, 0] - np.exp(-0.18)) < 1e-12
+        assert abs(d[1, 0] - 0.6 * np.exp(-0.18)) < 1e-12
+        assert abs(d[0, 0] - 0.835270) < 1e-6
+        assert abs(d[1, 0] - 0.501162) < 1e-6
 
     @pytest.mark.parametrize("m,n", [(0, 0), (2, 2), (5, 1), (1, 5), (7, 7)])
     def test_zero_displacement_is_identity(self, m, n):
         expected = 1.0 if m == n else 0.0
-        assert fock.displacement_element(m, n, 0.0) == expected
+        assert fock.displacement_matrix(0.0, m + 1, n + 1)[m, n] == expected
 
     @pytest.mark.parametrize("beta", [0.6, -0.35, 0.4 + 0.3j, 1.1j, -0.2 - 0.9j])
     def test_against_expm_oracle(self, beta):
         d = expm_displacement(beta, 48)
+        got = fock.displacement_matrix(beta, 10, 10)
         for m in range(10):
             for n in range(10):
-                assert abs(fock.displacement_element(m, n, beta) - d[m, n]) < 1e-10
+                assert abs(got[m, n] - d[m, n]) < 1e-10
 
     @pytest.mark.parametrize("m,n", [(6, 2), (2, 6), (9, 9), (12, 3)])
     def test_against_laguerre_closed_form(self, m, n):
@@ -144,33 +148,36 @@ class TestDisplacementElement:
                 * np.exp(-y / 2)
                 * eval_genlaguerre(m, n - m, y)
             )
-        assert abs(fock.displacement_element(m, n, beta) - ref) < 1e-12
+        assert abs(fock.displacement_matrix(beta, m + 1, n + 1)[m, n] - ref) < 1e-12
 
     def test_rejects_negative_indices(self):
+        # negative block sizes are rejected
         with pytest.raises(ValueError):
-            fock.displacement_element(-1, 0, 0.1)
+            fock.displacement_matrix(0.1, -1, 1)
 
 
 class TestDisplacementOperator:
     def test_low_column_norms(self):
-        d = fock.displacement_operator(0.6, 32)
+        d = fock.displacement_matrix(0.6, 32, 32)
         norms = np.linalg.norm(d[:, :9], axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
 
     def test_inverse_pair(self):
-        d = fock.displacement_operator(0.6, 32)
-        di = fock.displacement_operator(-0.6, 32)
+        d = fock.displacement_matrix(0.6, 32, 32)
+        di = fock.displacement_matrix(-0.6, 32, 32)
         np.testing.assert_allclose((d @ di)[:8, :8], np.eye(8), atol=1e-8)
 
     def test_zero_is_identity(self):
-        np.testing.assert_allclose(fock.displacement_operator(0.0, 12), np.eye(12))
+        np.testing.assert_allclose(fock.displacement_matrix(0.0, 12, 12), np.eye(12))
 
     def test_matrix_matches_elements(self):
+        # an element does not depend on the block it is read from
         beta = -0.3 + 0.7j
         mat = fock.displacement_matrix(beta, 9, 7)
         for m in range(9):
             for n in range(7):
-                assert abs(mat[m, n] - fock.displacement_element(m, n, beta)) < 1e-12
+                element = fock.displacement_matrix(beta, m + 1, n + 1)[m, n]
+                assert abs(mat[m, n] - element) < 1e-12
 
     @pytest.mark.parametrize("beta", [0.3, 0.6 + 0.4j, 1.0, 2.0])
     def test_displaced_number_completeness(self, beta):

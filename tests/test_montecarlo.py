@@ -1,7 +1,9 @@
 import hashlib
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.stats import chi2
 
 from wernerlike import fock, montecarlo as mc, states
@@ -104,6 +106,73 @@ class TestRecords:
         }
         assert set(obj["setting"]) == {"theta", "phi_spin", "beta_abs"}
         assert len(obj["counts_up"]) == 12
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def records(draw):
+    n_cells = draw(st.integers(0, 40))
+    cells = st.lists(st.integers(0, 2**62), min_size=n_cells, max_size=n_cells)
+    return mc.MeasurementRecord(
+        theta=draw(finite), phi_spin=draw(finite), beta_abs=draw(finite),
+        phase_index=draw(st.integers(0, 10**6)), n_phases=draw(st.integers(1, 10**6)),
+        total_events=draw(st.integers(0, 2**62)), seed=draw(st.integers(0, 2**64 - 1)),
+        counts_up=np.array(draw(cells), dtype=np.int64),
+        counts_down=np.array(draw(cells), dtype=np.int64),
+        overflow_up=draw(st.integers(0, 2**62)), overflow_down=draw(st.integers(0, 2**62)),
+    )
+
+
+@st.composite
+def record_groups(draw):
+    """A consistent group: every phase's counts plus overflow sum to total_events."""
+    n_phases = draw(st.integers(1, 6))
+    win = draw(st.integers(1, 5))
+    total = draw(st.integers(1, 1000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    group = []
+    for j in range(n_phases):
+        draw_j = rng.multinomial(total, np.full(2 * win + 2, 1.0 / (2 * win + 2)))
+        group.append(mc.MeasurementRecord(
+            theta=0.0, phi_spin=0.0, beta_abs=0.6, phase_index=j, n_phases=n_phases,
+            total_events=total, seed=11,
+            counts_up=draw_j[:win], counts_down=draw_j[win : 2 * win],
+            overflow_up=int(draw_j[-2]), overflow_down=int(draw_j[-1]),
+        ))
+    return group
+
+
+class TestRecordProperties:
+    @given(records())
+    def test_json_round_trip(self, rec):
+        back = mc.MeasurementRecord.from_json(rec.to_json())
+        for name in ("theta", "phi_spin", "beta_abs", "phase_index", "n_phases",
+                     "total_events", "seed", "overflow_up", "overflow_down"):
+            assert getattr(back, name) == getattr(rec, name)
+        for name in ("counts_up", "counts_down"):
+            assert getattr(back, name).dtype == np.int64
+            np.testing.assert_array_equal(getattr(back, name), getattr(rec, name))
+        assert back.to_json() == rec.to_json()
+
+    @hypothesis.settings(max_examples=200)
+    @given(record_groups(), st.data())
+    def test_count_tampering_rejected(self, group, data):
+        untouched = mc.estimate_marginals(group)
+        assert untouched.w.shape == (2, group[0].n_phases, len(group[0].counts_up))
+        j = data.draw(st.integers(0, len(group) - 1))
+        rec = group[j]
+        field = data.draw(st.sampled_from(
+            ("counts_up", "counts_down", "overflow_up", "overflow_down")))
+        delta = data.draw(st.integers(-50, 50).filter(bool))
+        if field.startswith("counts"):
+            cell = data.draw(st.integers(0, len(rec.counts_up) - 1))
+            getattr(rec, field)[cell] += delta
+        else:
+            setattr(rec, field, getattr(rec, field) + delta)
+        with pytest.raises(ValueError, match=f"phase {j}: (negative counts|counts plus overflow)"):
+            mc.estimate_marginals(group)
 
 
 class TestEstimateMarginals:

@@ -20,6 +20,54 @@ def random_product_qubit_pair(rng):
     return np.kron(r1, r2)
 
 
+PAULIS = (fock.SIGMA1, fock.SIGMA2, fock.SIGMA3)
+EYE2 = np.eye(2, dtype=complex)
+
+
+def hs_reassemble(dec):
+    """Inverse of the decomposition: (1/4)[I + r.sigma (x) I + ...]."""
+    out = np.kron(EYE2, EYE2).astype(complex)
+    for i, p in enumerate(PAULIS):
+        out += dec.r[i] * np.kron(p, EYE2)
+        out += dec.s[i] * np.kron(EYE2, p)
+        for j, q in enumerate(PAULIS):
+            out += dec.t[i, j] * np.kron(p, q)
+    return out / 4.0
+
+
+def hs_kron_loop(rho):
+    """Reference: the decomposition as 15 Kronecker products and traces."""
+    r = np.array([np.trace(rho @ np.kron(p, EYE2)).real for p in PAULIS])
+    s = np.array([np.trace(rho @ np.kron(EYE2, p)).real for p in PAULIS])
+    t = np.array([[np.trace(rho @ np.kron(p, q)).real for q in PAULIS] for p in PAULIS])
+    return r, s, t
+
+
+def bisection_threshold(level, bracket=(1e-4, 2.0), tol=1e-6):
+    """Reference: the fidelity crossing found by bisection on F(alpha) - level."""
+    lo, hi = float(bracket[0]), float(bracket[1])
+
+    def gap(a):
+        return states.teleportation_fidelity(states.mapped_qubit_from_alpha(a)) - level
+
+    glo, ghi = gap(lo), gap(hi)
+    if glo == 0.0:
+        return lo
+    if ghi == 0.0:
+        return hi
+    if glo * ghi > 0.0:
+        raise states.BracketError(
+            f"fidelity - {level:.6g} has no sign change on ({lo:.4g}, {hi:.4g})"
+        )
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if glo * gap(mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 class TestWernerQubit:
     def test_trace(self):
         assert abs(np.trace(states.build_werner_qubit()) - 1.0) < 1e-14
@@ -220,8 +268,18 @@ class TestHilbertSchmidt:
         for _ in range(100):
             rho = random_density(rng, 4)
             dec = states.hilbert_schmidt_decomposition(rho)
-            np.testing.assert_allclose(states.hs_reassemble(dec), rho, atol=1e-10)
+            np.testing.assert_allclose(hs_reassemble(dec), rho, atol=1e-10)
             assert np.all(np.abs(dec.t) <= 1.0 + 1e-12)
+
+    def test_matches_kronecker_loop(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            rho = random_density(rng, 4)
+            dec = states.hilbert_schmidt_decomposition(rho)
+            r, s, t = hs_kron_loop(rho)
+            np.testing.assert_allclose(dec.r, r, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(dec.s, s, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(dec.t, t, rtol=0.0, atol=1e-15)
 
 
 class TestTeleportationFidelity:
@@ -248,6 +306,16 @@ class TestTeleportationFidelity:
     def test_unreachable_level_signals(self):
         with pytest.raises(states.BracketError):
             states.fidelity_threshold(level=0.75)
+
+    @pytest.mark.parametrize("level", [0.5, 0.8])
+    def test_levels_outside_the_range_signal(self, level):
+        with pytest.raises(states.BracketError):
+            states.fidelity_threshold(level=level)
+
+    def test_closed_form_matches_bisection(self):
+        for level in np.linspace(0.59, 0.745, 12):
+            closed = states.fidelity_threshold(level)
+            assert abs(closed - bisection_threshold(level, tol=1e-13)) < 1e-10
 
 
 class TestMetricSweep:

@@ -82,7 +82,7 @@ class TestMarginal:
         # spin-collapsed block's Fock representation
         beta, theta, phi = 0.6 * np.exp(0.7j), 0.0, 0.0
         rho_q = tg.collapse_spin(hybrid07, tg.spin_projector(theta, phi, fock.SPIN_UP))
-        col = np.array([fock.displacement_element(k, 5, beta) for k in range(32)])
+        col = fock.displacement_matrix(beta, 32, 6)[:, 5]
         expected = (col.conj() @ rho_q @ col).real
         got = tg.marginal_w(hybrid07, fock.SPIN_UP, 5, theta, phi, beta)
         assert abs(got - expected) < 1e-10
@@ -185,55 +185,118 @@ class TestGMatrix:
         assert order_operator(5, 0.6, 32).shape == (32, 27)
 
 
+def smear(w, eta):
+    """Binomial detection response applied along the last axis."""
+    return w @ tg.binomial_matrix(eta, w.shape[-1], w.shape[-1]).T
+
+
 class TestEfficiencySmear:
     def test_identity_at_unit_efficiency(self):
         w = np.array([0.2, 0.5, 0.3])
-        np.testing.assert_array_equal(tg.efficiency_smear(w, 1.0), w)
+        np.testing.assert_array_equal(smear(w, 1.0), w)
 
     def test_single_excitation_loss(self):
         w = np.array([0.0, 1.0])
-        np.testing.assert_allclose(tg.efficiency_smear(w, 0.9), [0.1, 0.9], atol=1e-14)
+        np.testing.assert_allclose(smear(w, 0.9), [0.1, 0.9], atol=1e-14)
 
     def test_total_probability_preserved(self):
         w = np.zeros(24)
         w[:6] = [0.1, 0.3, 0.25, 0.2, 0.1, 0.05]
-        smeared = tg.efficiency_smear(w, 0.8)
+        smeared = smear(w, 0.8)
         assert abs(smeared.sum() - 1.0) < 1e-12
         assert np.all(smeared >= 0.0)
 
-    def test_rejects_super_probability(self):
-        with pytest.raises(ValueError):
-            tg.efficiency_smear(np.array([0.9, 0.9]), 0.9)
+
+def folded_operator(settings, r):
+    """B(eta) G^(r) on the extended count range, as inversion_systems forms it."""
+    kext = max(fock.displaced_support(settings.n_cutoff, settings.beta_abs), settings.n_max + 1)
+    f = fock.displacement_amplitudes(settings.beta_abs, settings.n_cutoff + 1, kext)
+    return tg.binomial_matrix(settings.eta, settings.n_max + 1, kext) @ tg.order_operator(f, r)
 
 
 class TestPseudoInverse:
+    """The per-order pseudo-inverses M of inversion_systems."""
+
     def test_identity_system(self):
-        g = order_operator(0, 1e-300, 16)
-        m, cond = tg.pseudo_inverse_M(g)
-        np.testing.assert_allclose(m, np.eye(16), atol=1e-12)
-        assert cond < 1.0 + 1e-9
+        base = tg.TomographySettings(
+            theta=0.0, phi_spin=0.0, beta_abs=1e-300, n_phases=36, n_max=15, n_cutoff=15,
+        )
+        system = tg.inversion_systems(base)[0]
+        np.testing.assert_allclose(system.m, np.eye(16), atol=1e-12)
+        assert system.cond < 1.0 + 1e-9
 
     @pytest.mark.parametrize("r", range(6))
     def test_left_inverse_property(self, r):
-        g = order_operator(r, 0.6, 32)
-        m, cond = tg.pseudo_inverse_M(g)
-        np.testing.assert_allclose(m @ g, np.eye(32 - r), atol=1e-8)
-        assert np.isfinite(cond)
-
-    def test_singular_signal_with_context(self):
-        g = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
-        with pytest.raises(tg.SingularSystemError, match="r=3"):
-            tg.pseudo_inverse_M(g, context="r=3, |beta|=0.6, N=31, N_c=31")
+        for eta in (1.0, 0.9):
+            settings = settings_full(eta)
+            g = folded_operator(settings, r)
+            system = tg.inversion_systems(settings)[r]
+            np.testing.assert_allclose(system.m @ g, np.eye(32 - r), atol=1e-8)
+            assert np.isfinite(system.cond)
 
     def test_noiseless_order_round_trip(self, hybrid07):
-        base = settings_full()
-        data = tg.exact_marginal_data(hybrid07, base)
-        r = 2
-        what = tg.fourier_coefficients(data.w[fock.SPIN_UP].T, r)
-        m, _ = tg.pseudo_inverse_M(order_operator(r, 0.6, 32))
-        est = m @ what
-        truth = np.array([hybrid07.uu[k + r, k] for k in range(30)])
-        np.testing.assert_allclose(est, truth, atol=1e-8)
+        for eta in (1.0, 0.9):
+            base = settings_full(eta)
+            data = tg.exact_marginal_data(hybrid07, base)
+            r = 2
+            what = tg.fourier_coefficients(data.w[fock.SPIN_UP].T, r)
+            est = tg.inversion_systems(base)[r].m @ what
+            truth = np.array([hybrid07.uu[k + r, k] for k in range(30)])
+            np.testing.assert_allclose(est, truth, atol=1e-8)
+
+
+def unfolded_systems(settings):
+    """Reference: the former eta = 1 branch of inversion_systems, G^(r) on the
+    measured window alone with no binomial fold."""
+    cdim = settings.n_cutoff + 1
+    f = fock.displacement_amplitudes(settings.beta_abs, cdim, settings.n_max + 1)
+    systems = []
+    for r in range(cdim):
+        g = tg.order_operator(f, r)
+        u, s, vt = np.linalg.svd(g, full_matrices=False)
+        keep = s > tg.SINGULAR_FLOOR
+        if keep.any():
+            m = (vt[keep].T / s[keep]) @ u[:, keep].T
+            cond = float((s[0] / s[keep][-1]) ** 2)
+        else:
+            m = np.zeros((g.shape[1], g.shape[0]))
+            cond = np.inf
+        systems.append(
+            tg.OrderSystem(r=r, m=m, sigma_max=float(s[0]), cond=cond, dropped=int((~keep).sum()))
+        )
+    return systems
+
+
+class TestUnitEfficiencyFold:
+    """At eta = 1 the binomial fold is the identity block and changes no bit."""
+
+    @pytest.mark.parametrize("n_cutoff, beta_abs", [(31, 0.6), (6, 1.1), (20, 0.33)])
+    def test_inversion_systems_match_unfolded_path(self, n_cutoff, beta_abs):
+        settings = tg.TomographySettings(
+            theta=0.0, phi_spin=0.0, beta_abs=beta_abs,
+            n_phases=2 * n_cutoff + 2, n_max=n_cutoff, n_cutoff=n_cutoff,
+        )
+        got = tg.inversion_systems(settings)
+        ref = unfolded_systems(settings)
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a.m, b.m)
+            assert (a.sigma_max, a.cond, a.dropped) == (b.sigma_max, b.cond, b.dropped)
+
+    @pytest.mark.parametrize("group", range(3))
+    def test_smeared_tables_are_the_window_slice(self, hybrid07, group):
+        settings = settings_full().with_angles(*tg.standard_setting_angles()[group])
+        wide = tg.ideal_marginal_tables(hybrid07, settings, fock.displaced_support(31, 0.6))
+        window, overflow = tg.smeared_marginal_tables(hybrid07, settings)
+        assert np.array_equal(window, wide[..., :32])
+        assert np.array_equal(overflow, np.clip(wide.sum(-1) - wide[..., :32].sum(-1), 0.0, None))
+
+    def test_detected_window_of_pulse_probabilities(self):
+        # the trap backend folds (2, rows) probability tables the same way
+        probs = np.random.default_rng(4).dirichlet(np.ones(120)).reshape(2, 60)
+        window, overflow = tg.detected_window(probs, tg.binomial_matrix(1.0, 32, 60))
+        assert np.array_equal(window, probs[:, :32])
+        assert np.array_equal(overflow, np.clip(probs.sum(1) - window.sum(1), 0.0, None))
 
 
 class TestReconstruction:
@@ -329,11 +392,17 @@ class TestReconstruction:
         np.testing.assert_allclose(proj, np.outer(up, up), atol=1e-15)
 
 
+def sigmas(m, phases, order, variance):
+    """Standard deviations (real, imaginary) of one order's estimates."""
+    var_re, var_im, _ = tg._second_moments(m, phases, order, variance)
+    return np.sqrt(var_re), np.sqrt(var_im)
+
+
 class TestErrorPropagation:
     def test_zero_variance_zero_sigma(self):
         phases = 2 * np.pi * np.arange(20) / 20
         m = np.ones((4, 8))
-        sre, sim = tg.propagate_errors(m, phases, 1, np.zeros((20, 8)))
+        sre, sim = sigmas(m, phases, 1, np.zeros((20, 8)))
         assert np.all(sre == 0.0)
         assert np.all(sim == 0.0)
 
@@ -342,8 +411,8 @@ class TestErrorPropagation:
         phases = 2 * np.pi * np.arange(24) / 24
         m = rng.normal(size=(5, 9))
         var = rng.uniform(0.1, 1.0, size=(24, 9))
-        sre1, sim1 = tg.propagate_errors(m, phases, 2, var)
-        sre2, sim2 = tg.propagate_errors(m, phases, 2, var / 2.0)
+        sre1, sim1 = sigmas(m, phases, 2, var)
+        sre2, sim2 = sigmas(m, phases, 2, var / 2.0)
         np.testing.assert_allclose(sre1 / sre2, np.sqrt(2.0), rtol=1e-2)
         np.testing.assert_allclose(sim1 / sim2, np.sqrt(2.0), rtol=1e-2)
 
