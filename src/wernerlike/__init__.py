@@ -33,7 +33,6 @@ from .tomography import (
     SingularSystemError,
     TomographySettings,
     exact_marginal_data,
-    fourier_coefficients,
     marginal_w,
     reconstruct_full,
 )

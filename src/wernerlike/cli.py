@@ -47,26 +47,11 @@ class RunConfig:
     seed: int = 20260801
     backend: str = "density"
 
-    _TYPES = {
-        "alpha": float,
-        "cutoff": int,
-        "beta_abs": float,
-        "n_max": int,
-        "n_cutoff": int,
-        "n_phases": int,
-        "events_per_phase": int,
-        "eta": float,
-        "seed": int,
-        "backend": str,
-    }
-
     @classmethod
     def from_file(cls, path):
+        types = {f.name: f.type for f in fields(cls)}
         values = {}
-        try:
-            text = Path(path).read_text()
-        except OSError:
-            raise
+        text = Path(path).read_text()
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -75,12 +60,12 @@ class RunConfig:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in cls._TYPES:
+            if key not in types:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
-                values[key] = cls._TYPES[key](value)
+                values[key] = types[key](value)
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: cannot parse {key} value {value!r}")
         return cls(**values).validate()
@@ -104,8 +89,8 @@ class RunConfig:
         )
 
     def validate(self):
-        if self.alpha < 0:
-            raise ConfigError("alpha must be nonnegative")
+        if not (np.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigError("alpha must be finite and nonnegative")
         if self.cutoff < 2:
             raise ConfigError("cutoff must be at least 2")
         if self.backend not in ("density", "trap"):

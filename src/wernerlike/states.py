@@ -148,8 +148,8 @@ def build_hybrid_mixture(alpha, dim=32):
         rho_ud = -|-a><a|/4
     """
     alpha = float(alpha)
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ValueError("alpha must be finite and nonnegative")
     plus = coherent_state(alpha, dim)
     minus = coherent_state(-alpha, dim)
     pp = np.outer(plus, plus.conj())
@@ -289,6 +289,8 @@ def metric_sweep(alpha_min, alpha_max, steps):
     """(steps, 5) table of (alpha, kappa, S, E, F) on a uniform alpha grid."""
     if steps < 2:
         raise ValueError("steps must be at least 2")
+    if not alpha_max > alpha_min:
+        raise ValueError(f"alpha_max={alpha_max} must exceed alpha_min={alpha_min}")
     alphas = np.linspace(float(alpha_min), float(alpha_max), int(steps))
     return np.array([metric_row(a) for a in alphas])
 

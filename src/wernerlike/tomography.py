@@ -26,6 +26,15 @@ the inverted system is B G^(r) on the same extended count range, so the
 estimator stays unbiased.  The fold is always applied; B(1) is the identity
 block, so at eta = 1 it only cuts the window.
 
+The four retained-outcome tables a full reconstruction needs (both outcomes
+of the unrotated group, the up outcome of each rotated group) invert together
+in one pass over the orders.  One phase-weight matrix e^{i r phase_j}/N gives
+every order's Fourier data, and its cos^2, sin^2 and cos.sin companions turn
+the cell variances into the variance weights, so the error propagation runs in
+the same loop: per order, M fills the r-th lower diagonal of every table's
+estimate and M*M (elementwise) the variances of its real and imaginary parts
+and their covariance.
+
 Per-order systems whose singular values fall below an absolute floor are
 truncated: a uniformly tiny G (e.g. the far off-diagonal orders at small
 |beta|) has condition number near 1 yet amplifies data noise by 1/|G|, so a
@@ -63,18 +72,13 @@ __all__ = [
     "ideal_marginal_tables",
     "smeared_marginal_tables",
     "exact_marginal_data",
-    "fourier_coefficients",
     "binomial_matrix",
     "detected_window",
     "inversion_systems",
     "reconstruct_hermitian",
-    "reconstruct_block_diagonal",
-    "reconstruct_block_offdiagonal",
     "reconstruct_full",
     "scalar_parts",
     "error_report",
-    "estimate_to_json_dict",
-    "estimate_from_json_dict",
 ]
 
 SINGULAR_FLOOR = 1e-9
@@ -112,8 +116,8 @@ class TomographySettings:
     eta: float = 1.0
 
     def __post_init__(self):
-        if self.beta_abs <= 0:
-            raise ValueError("beta_abs must be positive")
+        if not (np.isfinite(self.beta_abs) and self.beta_abs > 0):
+            raise ValueError(f"beta_abs must be finite and positive, got {self.beta_abs}")
         if self.n_cutoff < 0 or self.n_max < self.n_cutoff:
             raise ValueError("need n_max >= n_cutoff >= 0")
         if self.n_phases <= 2 * self.n_cutoff:
@@ -264,24 +268,8 @@ def exact_marginal_data(state, settings):
 
 
 # ----------------------------------------------------------------------
-# Fourier extraction and the linear system
+# the per-order linear systems
 # ----------------------------------------------------------------------
-
-def fourier_coefficients(w_of_phase, order):
-    """(1/N) sum_j w(phase_j) e^{i r phase_j} on the uniform phase grid.
-
-    Discrete realization of the phase-average Fourier integral; ``order``
-    must stay below half the number of phases.
-    """
-    w = np.asarray(w_of_phase)
-    n = w.shape[-1]
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if 2 * order >= n:
-        raise ValueError(f"order {order} needs more than {n} phases")
-    phases = 2.0 * np.pi * np.arange(n) / n
-    return w @ np.exp(1j * order * phases) / n
-
 
 def binomial_matrix(eta, n_out, n_in):
     """B[n, k] = C(k, n) eta^n (1-eta)^(k-n): ideal counts -> detected counts."""
@@ -352,162 +340,72 @@ def inversion_systems(settings):
 
 
 # ----------------------------------------------------------------------
-# error propagation
-# ----------------------------------------------------------------------
-
-def _second_moments(m, phases, order, variance):
-    """Variances of Re/Im and their covariance for one order's estimates.
-
-    variance: per-cell (n_phases, n_rows) variances of the estimated
-    marginals, treated as independent; the linear coefficients are the
-    composition of the discrete Fourier weights with M.
-    """
-    nphi = len(phases)
-    c = np.cos(order * phases)
-    s = np.sin(order * phases)
-    m2 = m * m
-    var_re = m2 @ ((c * c) @ variance) / nphi**2
-    var_im = m2 @ ((s * s) @ variance) / nphi**2
-    cov = m2 @ ((c * s) @ variance) / nphi**2
-    return var_re, var_im, cov
-
-
-# ----------------------------------------------------------------------
-# reconstruction
+# reconstruction and error propagation
 # ----------------------------------------------------------------------
 
 @dataclass
 class BlockEstimate:
-    """Reconstructed block with per-element uncertainty moments.
+    """Reconstructed block with per-element uncertainties.
 
     values is (n_cutoff+1)^2 complex; sigma_re/sigma_im are the standard
-    deviations of the real/imaginary parts, cov_reim their covariance.
-    orders carries (r, sigma_max, cond, dropped) diagnostics per system.
+    deviations of the real/imaginary parts.  orders carries
+    (r, sigma_max, cond, dropped) diagnostics per system.
     """
 
     values: np.ndarray
     sigma_re: np.ndarray
     sigma_im: np.ndarray
-    cov_reim: np.ndarray
     orders: tuple
-
-    @property
-    def var_re(self):
-        return self.sigma_re**2
-
-    @property
-    def var_im(self):
-        return self.sigma_im**2
 
 
 def reconstruct_hermitian(w, variance, settings, systems=None):
-    """Invert one retained-outcome marginal table into a Hermitian operator.
+    """Invert k stacked retained-outcome marginal tables into Hermitian operators.
 
-    w, variance: (n_phases, n_max+1).  The order-r Fourier data determine the
-    r-th lower diagonal; the upper triangle is the conjugate transpose, which
-    for real phase data equals the estimate the negative orders would give.
+    w, variance: (k, n_phases, n_max+1).  The order-r Fourier data determine
+    the r-th lower diagonal; the upper triangle is the conjugate transpose,
+    which for real phase data equals the estimate the negative orders would
+    give.  The cell variances, treated as independent, propagate through the
+    composition of the discrete Fourier weights with M.
+
+    Returns (values, moments, orders): values (k, cdim, cdim) complex;
+    moments (3, k, cdim, cdim) holding the variances of the real and
+    imaginary parts and their covariance; orders the per-order
+    (r, sigma_max, cond, dropped) diagnostics.
     """
     w = np.asarray(w, dtype=float)
     variance = np.asarray(variance, dtype=float)
-    if w.shape != (settings.n_phases, settings.n_max + 1):
+    if w.ndim != 3 or w.shape[1:] != (settings.n_phases, settings.n_max + 1):
         raise ValueError(
-            f"marginal table shape {w.shape} does not cover the settings grid "
+            f"marginal tables of shape {w.shape} are not a stack of settings grids "
             f"({settings.n_phases} phases x {settings.n_max + 1} counts)"
         )
     if systems is None:
         systems = inversion_systems(settings)
-    phases = settings.phases
+    k, nphi = len(w), settings.n_phases
     cdim = settings.n_cutoff + 1
-    values = np.zeros((cdim, cdim), dtype=complex)
-    var_re = np.zeros((cdim, cdim))
-    var_im = np.zeros((cdim, cdim))
-    cov = np.zeros((cdim, cdim))
-    diagnostics = []
+    angle = np.outer(np.arange(cdim), settings.phases)  # (cdim, n_phases): r phase_j
+    c, s = np.cos(angle), np.sin(angle)
+    # every order's Fourier data and variance weights, (k, cdim, n_max+1) each
+    what = (np.exp(1j * angle) / nphi) @ w
+    spread = (np.stack([c * c, s * s, c * s])[:, None] / nphi**2) @ variance
+    values = np.zeros((k, cdim, cdim), dtype=complex)
+    moments = np.zeros((3, k, cdim, cdim))
     for sys_r in systems:
         r = sys_r.r
-        what = fourier_coefficients(w.T, r)  # (n_max+1,) complex
-        est = sys_r.m @ what
-        vr, vi, cv = _second_moments(sys_r.m, phases, r, variance)
         idx = np.arange(cdim - r)
-        values[idx + r, idx] = est
-        var_re[idx + r, idx] = vr
-        var_im[idx + r, idx] = vi
-        cov[idx + r, idx] = cv
-        if r > 0:
-            values[idx, idx + r] = est.conj()
-            var_re[idx, idx + r] = vr
-            var_im[idx, idx + r] = vi
-            cov[idx, idx + r] = -cv
-        diagnostics.append(
-            {"r": r, "sigma_max": sys_r.sigma_max, "cond": sys_r.cond, "dropped": sys_r.dropped}
-        )
-    return BlockEstimate(
-        values=values,
-        sigma_re=np.sqrt(var_re),
-        sigma_im=np.sqrt(var_im),
-        cov_reim=cov,
-        orders=tuple(diagnostics),
+        values[:, idx + r, idx] = what[:, r] @ sys_r.m.T
+        moments[:, :, idx + r, idx] = spread[:, :, r] @ (sys_r.m * sys_r.m).T
+    # upper triangle by assignment: conjugate values, equal variances,
+    # negated covariance
+    row, col = np.tril_indices(cdim, -1)
+    values[:, col, row] = values[:, row, col].conj()
+    moments[:2, :, col, row] = moments[:2, :, row, col]
+    moments[2, :, col, row] = -moments[2, :, row, col]
+    orders = tuple(
+        {"r": t.r, "sigma_max": t.sigma_max, "cond": t.cond, "dropped": t.dropped}
+        for t in systems
     )
-
-
-def _require_angles(data, theta, phi_spin):
-    if abs(data.theta - theta) > 1e-9 or abs(data.phi_spin - phi_spin) > 1e-9:
-        raise ValueError(
-            f"record group at (theta, phi_spin) = ({data.theta:.6g}, {data.phi_spin:.6g})"
-            f" does not match the required ({theta:.6g}, {phi_spin:.6g})"
-        )
-
-
-def reconstruct_block_diagonal(data, which, settings, systems=None):
-    """rho_uu (which='up') or rho_dd (which='down') from the unrotated group."""
-    _require_angles(data, *DIAGONAL_ANGLES)
-    data.check_matches(settings.with_angles(*DIAGONAL_ANGLES))
-    row = SPIN_UP if which == "up" else SPIN_DOWN
-    return reconstruct_hermitian(data.w[row], data.variance[row], settings, systems)
-
-
-def _combine_mean(est_a, est_b):
-    """(A + B)/2 for independent Hermitian block estimates."""
-    return BlockEstimate(
-        values=0.5 * (est_a.values + est_b.values),
-        sigma_re=0.5 * np.sqrt(est_a.var_re + est_b.var_re),
-        sigma_im=0.5 * np.sqrt(est_a.var_im + est_b.var_im),
-        cov_reim=0.25 * (est_a.cov_reim + est_b.cov_reim),
-        orders=est_a.orders,
-    )
-
-
-def reconstruct_block_offdiagonal(data_real, data_imag, diagonal_estimates, settings,
-                                  systems=None):
-    """rho_ud from the two rotated-setting groups.
-
-    The retained up outcome projects onto (1 - sigma1)/2 at (pi/4, -pi/2)
-    and (1 - sigma2)/2 at (pi/4, 0); subtracting the diagonal-block mean
-    recovers the Hermitian and anti-Hermitian parts of rho_ud.
-    """
-    _require_angles(data_real, *REAL_PART_ANGLES)
-    _require_angles(data_imag, *IMAG_PART_ANGLES)
-    data_real.check_matches(settings.with_angles(*REAL_PART_ANGLES))
-    data_imag.check_matches(settings.with_angles(*IMAG_PART_ANGLES))
-    est_uu, est_dd = diagonal_estimates
-    mean = _combine_mean(est_uu, est_dd)
-    q1 = reconstruct_hermitian(data_real.w[SPIN_UP], data_real.variance[SPIN_UP],
-                               settings, systems)
-    q2 = reconstruct_hermitian(data_imag.w[SPIN_UP], data_imag.variance[SPIN_UP],
-                               settings, systems)
-    herm = mean.values - q1.values          # (rho_ud + rho_du)/2
-    anti = q2.values - mean.values          # (rho_ud - rho_du)/(2i)
-    values = herm + 1j * anti
-    var_re = mean.var_re + mean.var_im + 2.0 * mean.cov_reim + q1.var_re + q2.var_im
-    var_im = mean.var_re + mean.var_im - 2.0 * mean.cov_reim + q1.var_im + q2.var_re
-    cov = mean.var_im - mean.var_re + q1.cov_reim - q2.cov_reim
-    return BlockEstimate(
-        values=values,
-        sigma_re=np.sqrt(np.clip(var_re, 0.0, None)),
-        sigma_im=np.sqrt(np.clip(var_im, 0.0, None)),
-        cov_reim=cov,
-        orders=q1.orders,
-    )
+    return values, moments, orders
 
 
 @dataclass
@@ -532,30 +430,59 @@ class HybridEstimate:
         )
 
 
-def _find_group(datas, angles):
+def _find_group(datas, settings, angles):
     theta, phi = angles
     for d in datas:
         if abs(d.theta - theta) <= 1e-9 and abs(d.phi_spin - phi) <= 1e-9:
-            return d
+            return d.check_matches(settings.with_angles(theta, phi))
     raise ValueError(
         f"missing record group with (theta, phi_spin) = ({theta:.6g}, {phi:.6g})"
     )
 
 
 def reconstruct_full(datas, settings, systems=None):
-    """Assemble all four blocks from the three setting groups."""
+    """Assemble all four blocks from the three setting groups in one inversion.
+
+    The diagonal group's up and down outcomes give rho_uu and rho_dd.  The
+    retained up outcome projects onto (1 - sigma1)/2 at (pi/4, -pi/2) and
+    (1 - sigma2)/2 at (pi/4, 0); subtracting the diagonal-block mean
+    recovers the Hermitian and anti-Hermitian parts of rho_ud.
+    """
     datas = list(datas)
-    data_diag = _find_group(datas, DIAGONAL_ANGLES)
-    data_real = _find_group(datas, REAL_PART_ANGLES)
-    data_imag = _find_group(datas, IMAG_PART_ANGLES)
+    diag, real, imag = (_find_group(datas, settings, a) for a in standard_setting_angles())
+    base = settings.with_angles(*DIAGONAL_ANGLES)
     if systems is None:
-        systems = inversion_systems(settings.with_angles(*DIAGONAL_ANGLES))
-    est_uu = reconstruct_block_diagonal(data_diag, "up", settings, systems)
-    est_dd = reconstruct_block_diagonal(data_diag, "down", settings, systems)
-    est_ud = reconstruct_block_offdiagonal(data_real, data_imag, (est_uu, est_dd),
-                                           settings, systems)
-    return HybridEstimate(uu=est_uu, dd=est_dd, ud=est_ud,
-                          settings=settings.with_angles(*DIAGONAL_ANGLES))
+        systems = inversion_systems(base)
+    tables = ((diag, SPIN_UP), (diag, SPIN_DOWN), (real, SPIN_UP), (imag, SPIN_UP))
+    values, moments, orders = reconstruct_hermitian(
+        np.stack([d.w[s] for d, s in tables]),
+        np.stack([d.variance[s] for d, s in tables]),
+        settings,
+        systems,
+    )
+    var_re, var_im, _ = moments
+    # the diagonal-block mean (uu + dd)/2 and its moments
+    mean = 0.5 * (values[0] + values[1])
+    mean_re, mean_im, mean_cov = 0.25 * (moments[:, 0] + moments[:, 1])
+    # mean - q1 = (rho_ud + rho_du)/2 and q2 - mean = (rho_ud - rho_du)/(2i)
+    ud = (mean - values[2]) + 1j * (values[3] - mean)
+    ud_re = mean_re + mean_im + 2.0 * mean_cov + var_re[2] + var_im[3]
+    ud_im = mean_re + mean_im - 2.0 * mean_cov + var_im[2] + var_re[3]
+
+    def block(v, vr, vi):
+        return BlockEstimate(
+            values=v,
+            sigma_re=np.sqrt(np.clip(vr, 0.0, None)),
+            sigma_im=np.sqrt(np.clip(vi, 0.0, None)),
+            orders=orders,
+        )
+
+    return HybridEstimate(
+        uu=block(values[0], var_re[0], var_im[0]),
+        dd=block(values[1], var_re[1], var_im[1]),
+        ud=block(ud, ud_re, ud_im),
+        settings=base,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -591,7 +518,9 @@ def error_report(estimate, truth_state):
     cdim = estimate.settings.n_cutoff + 1
 
     def window(block):
-        return np.asarray(block, dtype=complex)[:cdim, :cdim]
+        # a truth of smaller dim is exactly zero past its cutoff
+        b = np.asarray(block, dtype=complex)[:cdim, :cdim]
+        return np.pad(b, [(0, cdim - b.shape[0]), (0, cdim - b.shape[1])])
 
     report = {}
     pooled_hits = pooled_total = 0
@@ -617,27 +546,12 @@ def error_report(estimate, truth_state):
     return report
 
 
-def _complex_to_pairs(arr):
-    a = np.asarray(arr, dtype=complex)
-    return np.stack([a.real, a.imag], axis=-1).tolist()
-
-
-def _pairs_to_complex(obj):
-    a = np.asarray(obj, dtype=float)
-    return a[..., 0] + 1j * a[..., 1]
-
-
-def estimate_to_json_dict(estimate):
-    """JSON-ready dict; complex values as [re, im] pairs, sigma arrays parallel."""
-    def block(est):
-        return {
-            "values": _complex_to_pairs(est.values),
-            "sigma_re": est.sigma_re.tolist(),
-            "sigma_im": est.sigma_im.tolist(),
-        }
-
+def write_estimate_json(path, estimate, extra=None):
+    """JSON file of the estimate, then the ``extra`` keys: complex values as
+    [re, im] pairs, sigma arrays parallel, the settings window and the
+    per-order diagnostics."""
     s = estimate.settings
-    return {
+    payload = {
         "settings": {
             "beta_abs": s.beta_abs,
             "n_phases": s.n_phases,
@@ -645,12 +559,26 @@ def estimate_to_json_dict(estimate):
             "n_cutoff": s.n_cutoff,
             "eta": s.eta,
         },
-        "blocks": {"uu": block(estimate.uu), "dd": block(estimate.dd), "ud": block(estimate.ud)},
+        "blocks": {
+            name: {
+                "values": np.stack([est.values.real, est.values.imag], axis=-1).tolist(),
+                "sigma_re": est.sigma_re.tolist(),
+                "sigma_im": est.sigma_im.tolist(),
+            }
+            for name, est in (("uu", estimate.uu), ("dd", estimate.dd), ("ud", estimate.ud))
+        },
         "orders": list(estimate.uu.orders),
     }
+    if extra:
+        payload.update(extra)
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload))
 
 
-def estimate_from_json_dict(payload):
+def load_estimate_json(path):
+    """(HybridEstimate, payload) from a file written by write_estimate_json."""
+    with open(path) as fh:
+        payload = json.load(fh)
     s = payload["settings"]
     settings = TomographySettings(
         theta=0.0,
@@ -664,31 +592,21 @@ def estimate_from_json_dict(payload):
     orders = tuple(payload.get("orders", ()))
 
     def block(obj):
-        values = _pairs_to_complex(obj["values"])
+        # parts assigned, not re + 1j*im, which turns a -0.0 imaginary part
+        # into +0.0
+        pairs = np.asarray(obj["values"], dtype=float)
+        values = np.empty(pairs.shape[:-1], dtype=complex)
+        values.real, values.imag = pairs[..., 0], pairs[..., 1]
         return BlockEstimate(
             values=values,
             sigma_re=np.asarray(obj["sigma_re"], dtype=float),
             sigma_im=np.asarray(obj["sigma_im"], dtype=float),
-            cov_reim=np.zeros_like(values, dtype=float),
             orders=orders,
         )
 
     blocks = payload["blocks"]
-    return HybridEstimate(
+    estimate = HybridEstimate(
         uu=block(blocks["uu"]), dd=block(blocks["dd"]), ud=block(blocks["ud"]),
         settings=settings,
     )
-
-
-def write_estimate_json(path, estimate, extra=None):
-    payload = estimate_to_json_dict(estimate)
-    if extra:
-        payload.update(extra)
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload))
-
-
-def load_estimate_json(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    return estimate_from_json_dict(payload), payload
+    return estimate, payload

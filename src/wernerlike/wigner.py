@@ -46,10 +46,23 @@ def wigner_point(block, gamma):
 
 
 def default_axes(alpha, re_pad=3.0, spacing=0.1, im_extent=3.0):
-    """Symmetric grids containing 0; Re axis covers +-(alpha + re_pad)."""
-    n_re = int(np.ceil((abs(alpha) + re_pad) / spacing))
-    n_im = int(np.ceil(im_extent / spacing))
-    return spacing * np.arange(-n_re, n_re + 1), spacing * np.arange(-n_im, n_im + 1)
+    """Symmetric grids containing 0; Re axis covers +-(alpha + re_pad).
+
+    Raises ValueError unless the spacing is positive and finite and each
+    axis has at least 2 points.
+    """
+    if not (np.isfinite(spacing) and spacing > 0):
+        raise ValueError(f"spacing must be positive and finite, got {spacing}")
+    axes = []
+    for name, extent in (("re_pad", abs(alpha) + re_pad), ("im_extent", im_extent)):
+        if not (np.isfinite(extent) and extent > 0):
+            raise ValueError(
+                f"{name} gives the axis half-width {extent}; it must be positive and"
+                " finite for the axis to have at least 2 points"
+            )
+        n = int(np.ceil(extent / spacing))
+        axes.append(spacing * np.arange(-n, n + 1))
+    return tuple(axes)
 
 
 @dataclass

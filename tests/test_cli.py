@@ -69,6 +69,17 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="backend"):
             RunConfig.from_file(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("beta_abs", "inf"), ("beta_abs", "nan"), ("alpha", "nan"), ("alpha", "inf"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_CONFIG.replace(f"{key} = ", f"{key} = {value}  # ", 1))
+        out = tmp_path / "run"
+        assert run_cli("--config", path, "--out", out, "simulate") == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+        assert not list(out.glob("records_g*.jsonl"))
+
 
 class TestMetrics:
     def test_threshold_row_and_round_trip(self, tmp_path, config_path):
@@ -87,6 +98,16 @@ class TestMetrics:
         states.write_metrics_csv(out / "again.csv", table)
         back, _ = states.read_metrics_csv(out / "again.csv")
         np.testing.assert_array_equal(back, table)
+
+
+class TestMetricsArguments:
+    def test_reversed_alpha_range_rejected(self, tmp_path, config_path, capsys):
+        out = tmp_path / "m"
+        code = run_cli("--config", config_path, "--out", out,
+                       "metrics", "--alpha-min", 3, "--alpha-max", 0)
+        assert code == EXIT_VALIDATION
+        assert "alpha_max" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
 
 
 class TestSimulateReconstruct:
@@ -164,6 +185,19 @@ class TestSimulateReconstruct:
         assert "records_g2.jsonl" in err and "phase 5" in err
         assert not (out / "reconstruction.json").exists()
 
+    def test_truth_smaller_than_the_estimate(self, tmp_path):
+        # cutoff 14 < n_cutoff + 1 = 32: the truth is zero past its cutoff
+        path = tmp_path / "run.cfg"
+        path.write_text("cutoff = 14\nevents_per_phase = 200\n")
+        out = tmp_path / "run"
+        assert run_cli("--config", path, "--out", out, "simulate") == EXIT_OK
+        assert run_cli("--config", path, "--out", out, "reconstruct") == EXIT_OK
+        report = json.loads((out / "reconstruction.json").read_text())["truth_comparison"]
+        for name in ("uu", "dd", "ud"):
+            assert np.isfinite(report[name]["max_abs_error"])
+            assert np.isfinite(report[name]["within_3sigma"])
+        assert np.isfinite(report["pooled_within_3sigma"])
+
     def test_seed_override_changes_outputs(self, tmp_path, config_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         run_cli("--config", config_path, "--out", out_a, "simulate")
@@ -231,6 +265,17 @@ class TestWignerCommand:
         assert (out / "wigner_recon.csv").exists()
         assert meta["max_pointwise_gap"] < 1e-6
         assert meta["true"]["uu_profile_maxima"]
+
+    @pytest.mark.parametrize("args, name", [
+        (("--spacing", 0), "spacing"),
+        (("--spacing", -0.1), "spacing"),
+        (("--im-extent", 0), "im_extent"),
+    ])
+    def test_bad_axis_arguments_rejected(self, tmp_path, config_path, capsys, args, name):
+        out = tmp_path / "run"
+        assert run_cli("--config", config_path, "--out", out, "wigner", *args) == EXIT_VALIDATION
+        assert name in capsys.readouterr().err
+        assert not (out / "wigner_true.csv").exists()
 
     def test_missing_reconstruction_reported(self, tmp_path, config_path):
         out = tmp_path / "empty"

@@ -137,6 +137,11 @@ class TestHybridMixture:
         with pytest.raises(ValueError):
             states.build_hybrid_mixture(-0.1, 16)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            states.build_hybrid_mixture(alpha, 16)
+
     def test_validate_rejects_bad_blocks(self):
         st = states.build_hybrid_mixture(0.5, 16)
         broken = states.HybridState(uu=st.uu, ud=st.ud, du=st.ud, dd=st.dd)

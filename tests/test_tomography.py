@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from wernerlike import fock, states
+from wernerlike import cli, fock, montecarlo, states, trapsim
 from wernerlike import tomography as tg
 
 
@@ -38,6 +40,20 @@ def exact_datas(state, base):
         tg.exact_marginal_data(state, base.with_angles(*angles))
         for angles in tg.standard_setting_angles()
     ]
+
+
+def noisy_datas(state, base, seed=5):
+    """Exact marginals carrying random positive cell variances."""
+    rng = np.random.default_rng(seed)
+    return [
+        replace(d, variance=rng.uniform(1e-6, 1e-4, size=d.w.shape))
+        for d in exact_datas(state, base)
+    ]
+
+
+def fourier_data(w, r):
+    """(1/N) sum_j w[j] e^{i r phase_j} along the phase axis, through the FFT."""
+    return np.conj(np.fft.fft(w, axis=0))[r] / w.shape[0]
 
 
 @pytest.fixture(scope="module")
@@ -143,27 +159,13 @@ class TestMarginal:
 
 
 class TestFourier:
-    def test_constant_input(self):
-        w = np.full(24, 0.37)
-        assert abs(tg.fourier_coefficients(w, 0) - 0.37) < 1e-14
-        for r in (1, 2, 5):
-            assert abs(tg.fourier_coefficients(w, r)) < 1e-14
-
-    def test_cosine_orthogonality(self):
-        phases = 2 * np.pi * np.arange(48) / 48
-        assert abs(tg.fourier_coefficients(np.cos(phases), 1) - 0.5) < 1e-14
-
-    def test_order_too_high(self):
-        with pytest.raises(ValueError):
-            tg.fourier_coefficients(np.ones(10), 5)
-
     @pytest.mark.parametrize("r", [0, 1, 3, 7])
     def test_forward_model_consistency(self, hybrid07, r):
         # Fourier data of the exact marginals vs the system matrix applied
         # to the true block diagonals
         base = settings_full()
         data = tg.exact_marginal_data(hybrid07, base)
-        what = tg.fourier_coefficients(data.w[fock.SPIN_UP].T, r)
+        what = fourier_data(data.w[fock.SPIN_UP], r)
         g = order_operator(r, 0.6, 32)
         diag = np.array([hybrid07.uu[m + r, m] for m in range(32 - r)])
         np.testing.assert_allclose(what, g @ diag, atol=1e-8)
@@ -239,7 +241,7 @@ class TestPseudoInverse:
             base = settings_full(eta)
             data = tg.exact_marginal_data(hybrid07, base)
             r = 2
-            what = tg.fourier_coefficients(data.w[fock.SPIN_UP].T, r)
+            what = fourier_data(data.w[fock.SPIN_UP], r)
             est = tg.inversion_systems(base)[r].m @ what
             truth = np.array([hybrid07.uu[k + r, k] for k in range(30)])
             np.testing.assert_allclose(est, truth, atol=1e-8)
@@ -374,13 +376,12 @@ class TestReconstruction:
 
     def test_inconsistent_settings_reported(self, hybrid07):
         base = settings_full()
-        data = tg.exact_marginal_data(hybrid07, base)
         wrong = tg.TomographySettings(
             theta=0.0, phi_spin=0.0, beta_abs=0.7,
             n_phases=96, n_max=31, n_cutoff=31,
         )
         with pytest.raises(ValueError, match="beta_abs"):
-            tg.reconstruct_block_diagonal(data, "up", wrong)
+            tg.reconstruct_full(exact_datas(hybrid07, base), wrong)
 
     def test_rotated_projectors(self):
         up = np.array([0.0, 1.0], dtype=complex)
@@ -392,46 +393,181 @@ class TestReconstruction:
         np.testing.assert_allclose(proj, np.outer(up, up), atol=1e-15)
 
 
-def sigmas(m, phases, order, variance):
-    """Standard deviations (real, imaginary) of one order's estimates."""
-    var_re, var_im, _ = tg._second_moments(m, phases, order, variance)
-    return np.sqrt(var_re), np.sqrt(var_im)
-
-
 class TestErrorPropagation:
-    def test_zero_variance_zero_sigma(self):
-        phases = 2 * np.pi * np.arange(20) / 20
-        m = np.ones((4, 8))
-        sre, sim = sigmas(m, phases, 1, np.zeros((20, 8)))
-        assert np.all(sre == 0.0)
-        assert np.all(sim == 0.0)
+    def test_zero_variance_zero_sigma(self, hybrid07):
+        base = settings_full()
+        est = tg.reconstruct_full(exact_datas(hybrid07, base), base)
+        for block in (est.uu, est.dd, est.ud):
+            assert np.all(block.sigma_re == 0.0)
+            assert np.all(block.sigma_im == 0.0)
 
-    def test_event_scaling(self):
-        rng = np.random.default_rng(3)
-        phases = 2 * np.pi * np.arange(24) / 24
-        m = rng.normal(size=(5, 9))
-        var = rng.uniform(0.1, 1.0, size=(24, 9))
-        sre1, sim1 = sigmas(m, phases, 2, var)
-        sre2, sim2 = sigmas(m, phases, 2, var / 2.0)
-        np.testing.assert_allclose(sre1 / sre2, np.sqrt(2.0), rtol=1e-2)
-        np.testing.assert_allclose(sim1 / sim2, np.sqrt(2.0), rtol=1e-2)
+    def test_event_scaling(self, hybrid07):
+        base = settings_full()
+        datas = noisy_datas(hybrid07, base)
+        halved = [replace(d, variance=d.variance / 2.0) for d in datas]
+        est1 = tg.reconstruct_full(datas, base)
+        est2 = tg.reconstruct_full(halved, base)
+        for name in ("uu", "dd", "ud"):
+            for part in ("sigma_re", "sigma_im"):
+                s1, s2 = getattr(getattr(est1, name), part), getattr(getattr(est2, name), part)
+                assert np.array_equal(s1 > 0, s2 > 0)
+                np.testing.assert_allclose(s1[s2 > 0] / s2[s2 > 0], np.sqrt(2.0), rtol=1e-12)
 
     def test_zero_order_estimates_are_real(self, hybrid07):
         base = settings_full()
-        data = tg.exact_marginal_data(hybrid07, base)
-        est = tg.reconstruct_block_diagonal(data, "up", base)
-        assert np.max(np.abs(np.diag(est.values).imag)) < 1e-14
-        assert np.all(np.diag(est.sigma_im) == 0.0)
+        est = tg.reconstruct_full(noisy_datas(hybrid07, base), base)
+        for block in (est.uu, est.dd):
+            assert np.max(np.abs(np.diag(block.values).imag)) < 1e-14
+            assert np.all(np.diag(block.sigma_im) == 0.0)
+            assert np.all(np.diag(block.sigma_re) > 0.0)
+
+
+class TestErrorReport:
+    def test_truth_smaller_than_the_estimate(self, hybrid07):
+        base = settings_full()
+        est = tg.reconstruct_full(noisy_datas(hybrid07, base), base)
+        small = states.build_hybrid_mixture(0.7, 14)
+        padded = states.HybridState(**{
+            name: np.pad(getattr(small, name), [(0, 18), (0, 18)])
+            for name in ("uu", "ud", "du", "dd")
+        })
+        assert tg.error_report(est, small) == tg.error_report(est, padded)
 
 
 class TestSerialization:
     def test_json_round_trip(self, tmp_path, hybrid07):
-        base = settings_full()
-        est = tg.reconstruct_full(exact_datas(hybrid07, base), base)
+        base = settings_full(eta=0.9)
+        est = tg.reconstruct_full(noisy_datas(hybrid07, base), base)
         path = tmp_path / "est.json"
         tg.write_estimate_json(path, est, extra={"config_hash": "deadbeef"})
         loaded, payload = tg.load_estimate_json(path)
         assert payload["config_hash"] == "deadbeef"
-        np.testing.assert_allclose(loaded.uu.values, est.uu.values, atol=1e-15)
-        np.testing.assert_allclose(loaded.ud.values, est.ud.values, atol=1e-15)
-        np.testing.assert_allclose(loaded.uu.sigma_re, est.uu.sigma_re, atol=1e-15)
+        for name in ("uu", "dd", "ud"):
+            for part in ("values", "sigma_re", "sigma_im"):
+                np.testing.assert_array_equal(
+                    getattr(getattr(loaded, name), part), getattr(getattr(est, name), part)
+                )
+            assert getattr(loaded, name).orders == est.uu.orders
+        assert loaded.settings == est.settings
+        again = tmp_path / "again.json"
+        tg.write_estimate_json(again, loaded, extra={"config_hash": "deadbeef"})
+        assert again.read_bytes() == path.read_bytes()
+
+
+# ----------------------------------------------------------------------
+# the former per-block reconstruction path, kept as the reference
+# ----------------------------------------------------------------------
+
+def ref_fourier_coefficients(w_of_phase, order):
+    w = np.asarray(w_of_phase)
+    n = w.shape[-1]
+    phases = 2.0 * np.pi * np.arange(n) / n
+    return w @ np.exp(1j * order * phases) / n
+
+
+def ref_second_moments(m, phases, order, variance):
+    nphi = len(phases)
+    c = np.cos(order * phases)
+    s = np.sin(order * phases)
+    m2 = m * m
+    var_re = m2 @ ((c * c) @ variance) / nphi**2
+    var_im = m2 @ ((s * s) @ variance) / nphi**2
+    cov = m2 @ ((c * s) @ variance) / nphi**2
+    return var_re, var_im, cov
+
+
+def ref_reconstruct_hermitian(w, variance, settings, systems):
+    """One table: (values, var_re, var_im, cov, orders)."""
+    phases = settings.phases
+    cdim = settings.n_cutoff + 1
+    values = np.zeros((cdim, cdim), dtype=complex)
+    var_re = np.zeros((cdim, cdim))
+    var_im = np.zeros((cdim, cdim))
+    cov = np.zeros((cdim, cdim))
+    diagnostics = []
+    for sys_r in systems:
+        r = sys_r.r
+        est = sys_r.m @ ref_fourier_coefficients(w.T, r)
+        vr, vi, cv = ref_second_moments(sys_r.m, phases, r, variance)
+        idx = np.arange(cdim - r)
+        values[idx + r, idx] = est
+        var_re[idx + r, idx] = vr
+        var_im[idx + r, idx] = vi
+        cov[idx + r, idx] = cv
+        if r > 0:
+            values[idx, idx + r] = est.conj()
+            var_re[idx, idx + r] = vr
+            var_im[idx, idx + r] = vi
+            cov[idx, idx + r] = -cv
+        diagnostics.append(
+            {"r": r, "sigma_max": sys_r.sigma_max, "cond": sys_r.cond, "dropped": sys_r.dropped}
+        )
+    return values, np.sqrt(var_re), np.sqrt(var_im), cov, tuple(diagnostics)
+
+
+def ref_combine_mean(a, b):
+    values, sre_a, sim_a, cov_a, orders = a
+    _, sre_b, sim_b, cov_b, _ = b
+    return (
+        0.5 * (values + b[0]),
+        0.5 * np.sqrt(sre_a**2 + sre_b**2),
+        0.5 * np.sqrt(sim_a**2 + sim_b**2),
+        0.25 * (cov_a + cov_b),
+        orders,
+    )
+
+
+def ref_reconstruct_full(datas, settings):
+    """{block: (values, sigma_re, sigma_im, orders)} through four per-table
+    inversions and the per-block off-diagonal algebra."""
+    by_angles = {(d.theta, d.phi_spin): d for d in datas}
+    diag, real, imag = (by_angles[a] for a in tg.standard_setting_angles())
+    systems = tg.inversion_systems(settings.with_angles(*tg.DIAGONAL_ANGLES))
+
+    def invert(data, row):
+        return ref_reconstruct_hermitian(data.w[row], data.variance[row], settings, systems)
+
+    uu, dd = invert(diag, fock.SPIN_UP), invert(diag, fock.SPIN_DOWN)
+    q1, q2 = invert(real, fock.SPIN_UP), invert(imag, fock.SPIN_UP)
+    mean, m_sre, m_sim, m_cov, _ = ref_combine_mean(uu, dd)
+    values = (mean - q1[0]) + 1j * (q2[0] - mean)
+    var_re = m_sre**2 + m_sim**2 + 2.0 * m_cov + q1[1] ** 2 + q2[2] ** 2
+    var_im = m_sre**2 + m_sim**2 - 2.0 * m_cov + q1[2] ** 2 + q2[1] ** 2
+    ud = (values, np.sqrt(np.clip(var_re, 0.0, None)), np.sqrt(np.clip(var_im, 0.0, None)),
+          q1[4])
+    return {"uu": uu[:3] + (uu[4],), "dd": dd[:3] + (dd[4],), "ud": ud}
+
+
+def sampled_datas(backend, seed):
+    config = cli.RunConfig(seed=seed, backend=backend)
+    datas = []
+    for i, angles in enumerate(tg.standard_setting_angles()):
+        settings = config.settings(*angles)
+        if backend == "trap":
+            records = trapsim.simulate_trap_acquisition(
+                config.alpha, settings, config.events_per_phase, seed,
+                dim=config.cutoff, setting_index=i,
+            )
+        else:
+            records = montecarlo.simulate_acquisition(
+                config.truth_state(), settings, config.events_per_phase, seed, setting_index=i,
+            )
+        datas.append(montecarlo.estimate_marginals(records))
+    return config.settings(), datas
+
+
+class TestPerBlockReference:
+    """One stacked inversion reproduces the per-block path on sampled data."""
+
+    @pytest.mark.parametrize("backend", ["density", "trap"])
+    @pytest.mark.parametrize("seed", [20260801, 20260802])
+    def test_sampled_default_config(self, backend, seed):
+        settings, datas = sampled_datas(backend, seed)
+        est = tg.reconstruct_full(datas, settings)
+        ref = ref_reconstruct_full(datas, settings)
+        for name, (values, sigma_re, sigma_im, orders) in ref.items():
+            block = getattr(est, name)
+            for got, want in ((block.values, values), (block.sigma_re, sigma_re),
+                              (block.sigma_im, sigma_im)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert block.orders == orders
