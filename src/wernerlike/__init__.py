@@ -37,7 +37,6 @@ from .tomography import (
     reconstruct_full,
 )
 from .montecarlo import MeasurementRecord, estimate_marginals, simulate_acquisition
-from .trapsim import bottle_readout, generate_pseudo_singlet, synthesize_mixture_run
 from .wigner import wigner_grid, wigner_point
 
 __version__ = "0.1.0"

@@ -1,5 +1,6 @@
-"""Finite-statistics acquisition: multinomial sampling per phase, frequency
-estimates, and the line-delimited JSON record format.
+"""Finite-statistics acquisition: multinomial sampling per phase from a
+mixture of components (one for the density backend, five for the trap
+backend), frequency estimates, and the line-delimited JSON record format.
 
 Each record is one (setting, phase) cell.  Counts with n > n_max land in an
 overflow bin per spin outcome; overflow is recorded and excluded from the
@@ -20,6 +21,7 @@ __all__ = [
     "MeasurementRecord",
     "phase_generator",
     "sample_phase_counts",
+    "sample_records",
     "simulate_acquisition",
     "write_records",
     "read_records",
@@ -43,10 +45,6 @@ class MeasurementRecord:
     overflow_up: int = 0
     overflow_down: int = 0
 
-    @property
-    def phase(self):
-        return 2.0 * np.pi * self.phase_index / self.n_phases
-
     def to_json(self):
         return json.dumps(
             {
@@ -68,21 +66,41 @@ class MeasurementRecord:
 
     @classmethod
     def from_json(cls, line):
+        """Parse one record line; every field is required, and a missing or
+        malformed one raises a ValueError naming it."""
         obj = json.loads(line)
-        setting = obj["setting"]
+        if not isinstance(obj, dict):
+            raise ValueError(f"a record must be a JSON object, not {type(obj).__name__}")
+        setting = _field(obj, "setting", dict)
         return cls(
-            theta=float(setting["theta"]),
-            phi_spin=float(setting["phi_spin"]),
-            beta_abs=float(setting["beta_abs"]),
-            phase_index=int(obj["phase_index"]),
-            n_phases=int(obj["n_phases"]),
-            total_events=int(obj["total_events"]),
-            seed=int(obj["seed"]),
-            counts_up=np.asarray(obj["counts_up"], dtype=np.int64),
-            counts_down=np.asarray(obj["counts_down"], dtype=np.int64),
-            overflow_up=int(obj.get("overflow_up", 0)),
-            overflow_down=int(obj.get("overflow_down", 0)),
+            theta=_field(setting, "theta", float, "setting."),
+            phi_spin=_field(setting, "phi_spin", float, "setting."),
+            beta_abs=_field(setting, "beta_abs", float, "setting."),
+            phase_index=_field(obj, "phase_index", int),
+            n_phases=_field(obj, "n_phases", int),
+            total_events=_field(obj, "total_events", int),
+            seed=_field(obj, "seed", int),
+            counts_up=_field(obj, "counts_up", _count_list),
+            counts_down=_field(obj, "counts_down", _count_list),
+            overflow_up=_field(obj, "overflow_up", int),
+            overflow_down=_field(obj, "overflow_down", int),
         )
+
+
+def _field(obj, name, convert, prefix=""):
+    if name not in obj:
+        raise ValueError(f"missing field '{prefix}{name}'")
+    try:
+        return convert(obj[name])
+    except (OverflowError, TypeError, ValueError):
+        raise ValueError(f"malformed field '{prefix}{name}': {obj[name]!r:.40}") from None
+
+
+def _count_list(value):
+    counts = np.asarray(value, dtype=np.int64)
+    if counts.ndim != 1:
+        raise ValueError("not a list of counts")
+    return counts
 
 
 def phase_generator(seed, setting_index, phase_index):
@@ -108,15 +126,27 @@ def sample_phase_counts(rng, events, window, overflow):
     return counts, np.array([draw[2 * win], draw[2 * win + 1]], dtype=np.int64)
 
 
-def simulate_acquisition(state, settings, events_per_phase, seed, setting_index=0):
-    """Sample one full setting group from the smeared forward model."""
-    window, overflow = smeared_marginal_tables(state, settings)
+def sample_records(settings, events_per_phase, seed, setting_index, weights, window, overflow):
+    """Sample one setting group of records from a mixture of k components.
+
+    weights: (k,) mixture weights; window: (k, 2, n_phases, n_max+1) detected
+    probabilities of each component; overflow: (k, 2, n_phases).  Per phase,
+    one generator draws how many events each component gets, then one
+    multinomial over each such component's cells.
+    """
+    weights = np.asarray(weights, dtype=float)
     records = []
     for j in range(settings.n_phases):
         rng = phase_generator(seed, setting_index, j)
-        counts, over = sample_phase_counts(
-            rng, events_per_phase, window[:, j, :], overflow[:, j]
-        )
+        counts = np.zeros((2, window.shape[-1]), dtype=np.int64)
+        over = np.zeros(2, dtype=np.int64)
+        for c, runs in enumerate(rng.multinomial(events_per_phase, weights).tolist()):
+            if runs:
+                drawn, drawn_over = sample_phase_counts(
+                    rng, runs, window[c, :, j], overflow[c, :, j]
+                )
+                counts += drawn
+                over += drawn_over
         records.append(
             MeasurementRecord(
                 theta=settings.theta,
@@ -135,6 +165,15 @@ def simulate_acquisition(state, settings, events_per_phase, seed, setting_index=
     return records
 
 
+def simulate_acquisition(state, settings, events_per_phase, seed, setting_index=0):
+    """Sample one full setting group from the smeared forward model: a
+    one-component mixture, whose weight draw takes no random numbers."""
+    window, overflow = smeared_marginal_tables(state, settings)
+    return sample_records(
+        settings, events_per_phase, seed, setting_index, (1.0,), window[None], overflow[None]
+    )
+
+
 def write_records(path, records):
     with open(path, "w") as fh:
         for rec in records:
@@ -142,8 +181,16 @@ def write_records(path, records):
 
 
 def read_records(path):
+    """Records of a JSON-lines file; a bad line raises a ValueError naming its number."""
+    records = []
     with open(path) as fh:
-        return [MeasurementRecord.from_json(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    records.append(MeasurementRecord.from_json(line))
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+    return records
 
 
 def estimate_marginals(records):
@@ -202,5 +249,4 @@ def estimate_marginals(records):
         n_phases=first.n_phases,
         w=w,
         variance=w / first.total_events,
-        events_per_phase=first.total_events,
     )

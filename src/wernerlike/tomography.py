@@ -141,8 +141,7 @@ class MarginalData:
     """Estimated (or exact) marginals for one setting group.
 
     w and variance have shape (2, n_phases, n_max+1); spin axis uses the
-    package convention 0 = down, 1 = up.  events_per_phase is None for exact
-    marginals (zero variance).
+    package convention 0 = down, 1 = up.  Exact marginals have zero variance.
     """
 
     theta: float
@@ -151,7 +150,6 @@ class MarginalData:
     n_phases: int
     w: np.ndarray
     variance: np.ndarray
-    events_per_phase: int | None = None
 
     @property
     def n_max(self):
@@ -263,7 +261,6 @@ def exact_marginal_data(state, settings):
         n_phases=settings.n_phases,
         w=window,
         variance=np.zeros_like(window),
-        events_per_phase=None,
     )
 
 
@@ -490,7 +487,7 @@ def reconstruct_full(datas, settings, systems=None):
 # ----------------------------------------------------------------------
 
 def scalar_parts(estimate, truth, hermitian):
-    """Independent scalar degrees of freedom as (error, sigma) pairs.
+    """Independent scalar degrees of freedom as (error, sigma) rows, shape (n, 2).
 
     Hermitian blocks contribute the lower triangle (real parts everywhere,
     imaginary parts strictly below the diagonal); a general block contributes
@@ -498,42 +495,29 @@ def scalar_parts(estimate, truth, hermitian):
     """
     err = estimate.values - np.asarray(truth, dtype=complex)
     n = err.shape[0]
-    pairs = []
     if hermitian:
-        for i in range(n):
-            for j in range(i + 1):
-                pairs.append((err[i, j].real, estimate.sigma_re[i, j]))
-                if i != j:
-                    pairs.append((err[i, j].imag, estimate.sigma_im[i, j]))
+        real, imag = np.tri(n, dtype=bool), np.tri(n, k=-1, dtype=bool)
     else:
-        for i in range(n):
-            for j in range(n):
-                pairs.append((err[i, j].real, estimate.sigma_re[i, j]))
-                pairs.append((err[i, j].imag, estimate.sigma_im[i, j]))
-    return pairs
+        real = imag = np.ones((n, n), dtype=bool)
+    return np.concatenate([
+        np.stack([err.real[real], estimate.sigma_re[real]], axis=1),
+        np.stack([err.imag[imag], estimate.sigma_im[imag]], axis=1),
+    ])
 
 
 def error_report(estimate, truth_state):
     """Per-block max |error| and 3-sigma containment against a known state."""
     cdim = estimate.settings.n_cutoff + 1
-
-    def window(block):
-        # a truth of smaller dim is exactly zero past its cutoff
-        b = np.asarray(block, dtype=complex)[:cdim, :cdim]
-        return np.pad(b, [(0, cdim - b.shape[0]), (0, cdim - b.shape[1])])
-
     report = {}
     pooled_hits = pooled_total = 0
-    for name, est, truth, herm in (
-        ("uu", estimate.uu, window(truth_state.uu), True),
-        ("dd", estimate.dd, window(truth_state.dd), True),
-        ("ud", estimate.ud, window(truth_state.ud), False),
-    ):
-        parts = scalar_parts(est, truth, herm)
-        errs = np.array([abs(e) for e, _ in parts])
-        sig = np.array([s for _, s in parts])
+    for name in ("uu", "dd", "ud"):
+        est = getattr(estimate, name)
+        # a truth of smaller dim is exactly zero past its cutoff
+        truth = np.asarray(getattr(truth_state, name), dtype=complex)[:cdim, :cdim]
+        truth = np.pad(truth, [(0, cdim - truth.shape[0]), (0, cdim - truth.shape[1])])
+        err, sig = scalar_parts(est, truth, hermitian=name != "ud").T
         mask = sig > 0
-        hits = int(np.sum(errs[mask] <= 3.0 * sig[mask]))
+        hits = int(np.sum(np.abs(err[mask]) <= 3.0 * sig[mask]))
         total = int(mask.sum())
         pooled_hits += hits
         pooled_total += total

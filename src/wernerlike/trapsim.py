@@ -3,18 +3,20 @@
 Available pulses: spin rotations about equatorial axes, oscillator
 displacements, and the conditional displacement D(alpha * sigma1) that
 displaces the sigma1 = +1 spin component by +alpha and the sigma1 = -1
-component by -alpha.  The joint (sigma3, n) readout is modeled as an ideal
-projective measurement.
+component by -alpha.  The mixture is four products |up/down>|+-alpha> at 1/8
+each and the pseudo-singlet (|down>|a> - |up>|-a>)/sqrt(2) at 1/2.
 
 A single equatorial rotation after D(alpha sigma1) cannot carry |up>|0> into
-the pseudo-singlet (|down>|a> - |up>|-a>)/sqrt(2) even up to a global phase
-(the required spin map needs a sigma3 component in its generator), so the
-generator uses a three-pulse sequence; the result matches the target with
-global phase exactly 1.
+the pseudo-singlet even up to a global phase (the required spin map needs a
+sigma3 component in its generator), so its sequence has three pulses; the
+result matches the target with global phase exactly 1.
+
+The trap backend evolves each component through the measurement pulses and
+folds its ideal projective (sigma3, n) readout through the detector
+efficiency; ``montecarlo.sample_records`` draws the records from the mixture.
 """
 
 import warnings
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,6 @@ from . import montecarlo
 from .fock import (
     SPIN_DOWN,
     SPIN_UP,
-    coherent_state,
     displacement_amplitudes,
     displacement_matrix,
     displaced_support,
@@ -39,15 +40,10 @@ __all__ = [
     "apply_pulse",
     "apply_sequence",
     "pseudo_singlet_pulses",
-    "pseudo_singlet_target",
-    "generate_pseudo_singlet",
     "COMPONENT_LABELS",
     "COMPONENT_WEIGHTS",
     "component_pulses",
     "component_state",
-    "SynthesisRun",
-    "synthesize_mixture_run",
-    "bottle_readout",
     "simulate_trap_acquisition",
 ]
 
@@ -82,12 +78,6 @@ class JointPureState:
 
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
-
-    @classmethod
-    def product(cls, spin_index, fock_amplitudes):
-        amp = np.zeros((2, len(fock_amplitudes)), dtype=complex)
-        amp[spin_index] = fock_amplitudes
-        return cls(amp)
 
     @classmethod
     def spin_up_vacuum(cls, dim):
@@ -140,17 +130,6 @@ def pseudo_singlet_pulses(alpha):
     )
 
 
-def pseudo_singlet_target(alpha, dim):
-    amp = np.zeros((2, dim), dtype=complex)
-    amp[SPIN_DOWN] = coherent_state(alpha, dim) / _SQRT2
-    amp[SPIN_UP] = -coherent_state(-alpha, dim) / _SQRT2
-    return JointPureState(amp)
-
-
-def generate_pseudo_singlet(alpha, dim=32):
-    return apply_sequence(JointPureState.spin_up_vacuum(dim), pseudo_singlet_pulses(alpha))
-
-
 COMPONENT_LABELS = ("down_minus", "up_minus", "down_plus", "up_plus", "singlet")
 COMPONENT_WEIGHTS = (0.125, 0.125, 0.125, 0.125, 0.5)
 
@@ -183,77 +162,28 @@ def component_state(label, alpha, dim):
     return _component_cache[key]
 
 
-SynthesisRun = namedtuple("SynthesisRun", ["label", "state", "pulses"])
-
-
-def synthesize_mixture_run(alpha, rng, dim=32):
-    """Draw one mixture component: four product states at 1/8 each and the
-    pseudo-singlet at 1/2."""
-    idx = rng.choice(len(COMPONENT_LABELS), p=COMPONENT_WEIGHTS)
-    label = COMPONENT_LABELS[idx]
-    return SynthesisRun(
-        label=label,
-        state=component_state(label, alpha, dim),
-        pulses=component_pulses(label, alpha),
-    )
-
-
-def bottle_readout(state, rng):
-    """Ideal joint projective (spin, count) sample from |amplitudes|^2."""
-    p = np.abs(state.amplitudes) ** 2
-    p = p.ravel() / p.sum()
-    flat = rng.choice(p.size, p=p)
-    s, n = divmod(int(flat), state.dim)
-    return s, n
-
-
 def simulate_trap_acquisition(alpha, settings, events_per_phase, seed, dim=32,
                               setting_index=0):
     """Record files from the pulse-level backend, drop-in compatible with the
     density-operator simulator.
 
-    Per phase, the component label counts follow a multinomial over the
-    mixture weights and each component's outcomes follow its own pulse-evolved
-    distribution: the aggregate of per-run synthesis, sampled in one pass.
-    Pre-measurement pulses are D(-beta_j) then the inverse spin rotation.
+    Each phase's detected tables come from the pulse-evolved amplitudes of
+    all five components; pre-measurement pulses are D(-beta_j) then the
+    inverse spin rotation.  The records are drawn from the mixture of those
+    tables with the component weights.
     """
-    comp_amps = [component_state(lbl, alpha, dim).amplitudes for lbl in COMPONENT_LABELS]
+    amps = np.stack([component_state(lbl, alpha, dim).amplitudes for lbl in COMPONENT_LABELS])
     rows = displaced_support(dim - 1, settings.beta_abs)
-    win = settings.n_max + 1
-    smear = binomial_matrix(settings.eta, win, rows)
+    smear = binomial_matrix(settings.eta, settings.n_max + 1, rows)
     u_inv = spin_rotation(-settings.theta, settings.phi_spin)
     # one real table per exact |beta_j| keeps dmat bit-identical to displacement_matrix
     betas = [complex(-(settings.beta_abs * np.exp(1j * phase))) for phase in settings.phases]
     tables = {x: displacement_amplitudes(x, rows, dim) for x in set(map(abs, betas))}
     mn = np.arange(rows)[:, None] - np.arange(dim)
-    records = []
-    for j, beta in enumerate(betas):
-        dmat = tables[abs(beta)] * (beta / abs(beta)) ** mn
-        rng = montecarlo.phase_generator(seed, setting_index, j)
-        comp_counts = rng.multinomial(events_per_phase, COMPONENT_WEIGHTS)
-        counts = np.zeros((2, win), dtype=np.int64)
-        over = np.zeros(2, dtype=np.int64)
-        for amp, n_runs in zip(comp_amps, comp_counts):
-            if n_runs == 0:
-                continue
-            moved = u_inv @ (amp @ dmat.T)
-            window, overflow = detected_window(np.abs(moved) ** 2, smear)
-            c, o = montecarlo.sample_phase_counts(rng, int(n_runs), window, overflow)
-            counts += c
-            over += o
-        records.append(
-            montecarlo.MeasurementRecord(
-                theta=settings.theta,
-                phi_spin=settings.phi_spin,
-                beta_abs=settings.beta_abs,
-                phase_index=j,
-                n_phases=settings.n_phases,
-                total_events=events_per_phase,
-                seed=seed,
-                counts_up=counts[SPIN_UP],
-                counts_down=counts[SPIN_DOWN],
-                overflow_up=int(over[SPIN_UP]),
-                overflow_down=int(over[SPIN_DOWN]),
-            )
-        )
-    return records
+    moved = np.stack(
+        [u_inv @ (amps @ (tables[abs(b)] * (b / abs(b)) ** mn).T) for b in betas], axis=2
+    )
+    window, overflow = detected_window(np.abs(moved) ** 2, smear)
+    return montecarlo.sample_records(
+        settings, events_per_phase, seed, setting_index, COMPONENT_WEIGHTS, window, overflow
+    )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -185,6 +186,36 @@ class TestSimulateReconstruct:
         assert "records_g2.jsonl" in err and "phase 5" in err
         assert not (out / "reconstruction.json").exists()
 
+    @pytest.mark.parametrize(
+        "corrupt, field",
+        [
+            (lambda rec: rec.pop("counts_up"), "counts_up"),
+            (lambda rec: rec.update(setting=None), "setting"),
+            (lambda rec: rec.pop("overflow_up"), "overflow_up"),
+            (None, "JSON object"),
+        ],
+        ids=["missing-counts", "null-setting", "missing-overflow", "array-line"],
+    )
+    def test_malformed_record_line_rejected(self, tmp_path, config_path, capsys,
+                                            corrupt, field):
+        out = tmp_path / "run"
+        run_cli("--config", config_path, "--out", out, "simulate")
+        path = out / "records_g1.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[3])
+        if corrupt is None:
+            record = list(record.values())
+        else:
+            corrupt(record)
+        lines[3] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("--config", config_path, "--out", out, "reconstruct") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "records_g1.jsonl: line 4:" in err and field in err
+        assert "Traceback" not in err
+        assert not (out / "reconstruction.json").exists()
+
     def test_truth_smaller_than_the_estimate(self, tmp_path):
         # cutoff 14 < n_cutoff + 1 = 32: the truth is zero past its cutoff
         path = tmp_path / "run.cfg"
@@ -205,6 +236,23 @@ class TestSimulateReconstruct:
         assert (out_a / "records_g0.jsonl").read_bytes() != (
             out_b / "records_g0.jsonl"
         ).read_bytes()
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+
+
+@pytest.mark.parametrize("backend", ["density", "trap"])
+@pytest.mark.parametrize("seed", [20260801, 20260805])
+def test_records_match_golden_hashes(tmp_path, seed, backend):
+    # the record bytes of the default config are pinned per seed and backend
+    golden = json.loads(GOLDEN.read_text())["records"][str(seed)][backend]
+    path = tmp_path / "run.cfg"
+    path.write_text(f"backend = {backend}\n")
+    out = tmp_path / "run"
+    assert run_cli("--config", path, "--seed", seed, "--out", out, "simulate") == EXIT_OK
+    got = [hashlib.sha256((out / f"records_g{i}.jsonl").read_bytes()).hexdigest()
+           for i in range(3)]
+    assert got == golden
 
 
 class TestManifestCheck:

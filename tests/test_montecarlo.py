@@ -81,6 +81,27 @@ class TestSimulateAcquisition:
         assert lo < stat < hi
 
 
+class TestSampleRecords:
+    def test_component_runs_follow_the_weight_draw(self):
+        # each component puts all its mass in its own cell, so a record's
+        # counts show how many events each component received
+        settings = small_settings()
+        k, win = 3, settings.n_max + 1
+        window = np.zeros((k, 2, settings.n_phases, win))
+        overflow = np.zeros((k, 2, settings.n_phases))
+        window[0, fock.SPIN_UP, :, 0] = 1.0
+        window[1, fock.SPIN_DOWN, :, 4] = 1.0
+        overflow[2, fock.SPIN_UP] = 1.0
+        weights = (0.2, 0.3, 0.5)
+        records = mc.sample_records(settings, 900, 6, 2, weights, window, overflow)
+        assert [rec.phase_index for rec in records] == list(range(settings.n_phases))
+        for j, rec in enumerate(records):
+            runs = mc.phase_generator(6, 2, j).multinomial(900, weights)
+            assert (rec.counts_up[0], rec.counts_down[4], rec.overflow_up) == tuple(runs)
+            assert rec.counts_up.sum() + rec.counts_down.sum() + rec.overflow_up == 900
+            assert rec.overflow_down == 0
+
+
 class TestRecords:
     def test_jsonl_round_trip(self, state16, tmp_path):
         records = mc.simulate_acquisition(state16, small_settings(), 400, seed=2)

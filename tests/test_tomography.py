@@ -434,6 +434,38 @@ class TestErrorReport:
         assert tg.error_report(est, small) == tg.error_report(est, padded)
 
 
+def ref_scalar_parts(estimate, truth, hermitian):
+    """Reference: the entry-by-entry loop over the independent parts."""
+    err = estimate.values - np.asarray(truth, dtype=complex)
+    n = err.shape[0]
+    pairs = []
+    for i in range(n):
+        for j in range(i + 1 if hermitian else n):
+            pairs.append((err[i, j].real, estimate.sigma_re[i, j]))
+            if not hermitian or i != j:
+                pairs.append((err[i, j].imag, estimate.sigma_im[i, j]))
+    return pairs
+
+
+class TestScalarParts:
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_matches_entry_loop(self, hermitian):
+        rng = np.random.default_rng(41)
+        n = 7
+        values = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        if hermitian:
+            values = values + values.conj().T
+        est = tg.BlockEstimate(
+            values=values, sigma_re=rng.uniform(size=(n, n)),
+            sigma_im=rng.uniform(size=(n, n)), orders=(),
+        )
+        truth = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        parts = tg.scalar_parts(est, truth, hermitian)
+        assert parts.shape == ((1 if hermitian else 2) * n * n, 2)
+        expected = sorted(ref_scalar_parts(est, truth, hermitian))
+        assert sorted(map(tuple, parts.tolist())) == expected
+
+
 class TestSerialization:
     def test_json_round_trip(self, tmp_path, hybrid07):
         base = settings_full(eta=0.9)

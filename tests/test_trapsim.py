@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.stats import chi2, poisson
 
 from wernerlike import fock, montecarlo as mc, states, trapsim as ts
 from wernerlike import tomography as tg
@@ -10,7 +9,9 @@ from wernerlike.fock import SPIN_DOWN, SPIN_UP
 class TestPulses:
     def test_displacement_makes_coherent_state(self):
         for s in (SPIN_DOWN, SPIN_UP):
-            start = ts.JointPureState.product(s, np.eye(24, dtype=complex)[0])
+            amp = np.zeros((2, 24), dtype=complex)
+            amp[s, 0] = 1.0
+            start = ts.JointPureState(amp)
             out = ts.apply_pulse(start, ts.Displacement(0.6 - 0.2j))
             np.testing.assert_allclose(
                 out.amplitudes[s], fock.coherent_state(0.6 - 0.2j, 24), atol=1e-10
@@ -51,16 +52,23 @@ class TestPulses:
             ts.apply_pulse(ts.JointPureState.spin_up_vacuum(4), "bad")
 
 
+def pseudo_singlet_target(alpha, dim):
+    """Reference: (|down>|a> - |up>|-a>)/sqrt(2) from coherent states."""
+    amp = np.zeros((2, dim), dtype=complex)
+    amp[SPIN_DOWN] = fock.coherent_state(alpha, dim) / np.sqrt(2.0)
+    amp[SPIN_UP] = -fock.coherent_state(-alpha, dim) / np.sqrt(2.0)
+    return amp
+
+
 class TestPseudoSinglet:
     @pytest.mark.parametrize("alpha", [0.0, 0.4, 0.7, 1.1])
     def test_exact_overlap(self, alpha):
-        got = ts.generate_pseudo_singlet(alpha, 32)
-        target = ts.pseudo_singlet_target(alpha, 32)
-        overlap = np.vdot(target.amplitudes, got.amplitudes)
+        got = ts.component_state("singlet", alpha, 32)
+        overlap = np.vdot(pseudo_singlet_target(alpha, 32), got.amplitudes)
         assert abs(abs(overlap) - 1.0) < 1e-8
 
     def test_alpha_zero_is_product(self):
-        got = ts.generate_pseudo_singlet(0.0, 8)
+        got = ts.component_state("singlet", 0.0, 8)
         # (|down> - |up>) (x) |0> up to a global phase
         amp = got.amplitudes
         assert np.max(np.abs(amp[:, 1:])) < 1e-12
@@ -68,7 +76,7 @@ class TestPseudoSinglet:
         assert abs(amp[SPIN_DOWN, 0] + amp[SPIN_UP, 0]) < 1e-12
 
     def test_reduced_spin_purity(self):
-        ps = ts.generate_pseudo_singlet(0.7, 32)
+        ps = ts.component_state("singlet", 0.7, 32)
         rho_spin = ps.amplitudes @ ps.amplitudes.conj().T
         purity = np.trace(rho_spin @ rho_spin).real
         kappa = states.kappa_from_alpha(0.7)
@@ -77,17 +85,6 @@ class TestPseudoSinglet:
 
 
 class TestMixtureSynthesis:
-    def test_component_frequencies(self):
-        rng = np.random.default_rng(23)
-        n_runs = 100_000
-        counts = {label: 0 for label in ts.COMPONENT_LABELS}
-        for _ in range(n_runs):
-            run = ts.synthesize_mixture_run(0.7, rng, dim=16)
-            counts[run.label] += 1
-        for label, weight in zip(ts.COMPONENT_LABELS, ts.COMPONENT_WEIGHTS):
-            band = 4.0 * np.sqrt(weight * (1 - weight) / n_runs)
-            assert abs(counts[label] / n_runs - weight) <= band
-
     def test_product_components_use_simple_pulses(self):
         for label in ts.COMPONENT_LABELS[:-1]:
             pulses = ts.component_pulses(label, 0.7)
@@ -100,61 +97,24 @@ class TestMixtureSynthesis:
         )
 
     def test_run_reports_matching_pulses(self):
-        rng = np.random.default_rng(1)
-        run = ts.synthesize_mixture_run(0.5, rng, dim=16)
-        rebuilt = ts.apply_sequence(ts.JointPureState.spin_up_vacuum(16), run.pulses)
-        np.testing.assert_allclose(rebuilt.amplitudes, run.state.amplitudes, atol=1e-12)
+        for label in ts.COMPONENT_LABELS:
+            rebuilt = ts.apply_sequence(
+                ts.JointPureState.spin_up_vacuum(16), ts.component_pulses(label, 0.5)
+            )
+            np.testing.assert_array_equal(
+                rebuilt.amplitudes, ts.component_state(label, 0.5, 16).amplitudes
+            )
 
     def test_ensemble_average_matches_density_operator(self):
-        rng = np.random.default_rng(5)
         dim = 32
-        acc = np.zeros((2 * dim, 2 * dim), dtype=complex)
-        n_runs = 10_000
-        for _ in range(n_runs):
-            run = ts.synthesize_mixture_run(0.7, rng, dim)
-            vec = np.concatenate([run.state.amplitudes[0], run.state.amplitudes[1]])
-            acc += np.outer(vec, vec.conj())
-        acc /= n_runs
-        truth = states.build_hybrid_mixture(0.7, dim).to_matrix()
-        trace_distance = 0.5 * np.abs(np.linalg.eigvalsh(acc - truth)).sum()
-        assert trace_distance < 0.02
-
-
-class TestBottleReadout:
-    def test_deterministic_eigenstate(self):
-        rng = np.random.default_rng(0)
-        amp = np.zeros((2, 8), dtype=complex)
-        amp[SPIN_UP, 3] = 1.0
-        state = ts.JointPureState(amp)
-        for _ in range(25):
-            assert ts.bottle_readout(state, rng) == (SPIN_UP, 3)
-
-    def test_singlet_spin_marginal(self):
-        rng = np.random.default_rng(6)
-        ps = ts.generate_pseudo_singlet(0.7, 16)
-        n_shots = 30_000
-        ups = sum(ts.bottle_readout(ps, rng)[0] == SPIN_UP for _ in range(n_shots))
-        band = 4.0 * np.sqrt(0.25 / n_shots)
-        assert abs(ups / n_shots - 0.5) <= band
-
-    def test_coherent_counts_are_poissonian(self):
-        rng = np.random.default_rng(12)
-        amp = np.zeros((2, 16), dtype=complex)
-        amp[SPIN_DOWN] = fock.coherent_state(0.7, 16)
-        state = ts.JointPureState(amp)
-        n_shots = 20_000
-        hist = np.zeros(16, dtype=int)
-        for _ in range(n_shots):
-            s, n = ts.bottle_readout(state, rng)
-            assert s == SPIN_DOWN
-            hist[n] += 1
-        expected = poisson.pmf(np.arange(16), 0.49) * n_shots
-        big = expected >= 5.0
-        obs = np.append(hist[big], hist[~big].sum())
-        exp = np.append(expected[big], expected[~big].sum())
-        stat = float(((obs - exp) ** 2 / exp).sum())
-        lo, hi = chi2.ppf([0.005, 0.995], len(obs) - 1)
-        assert lo < stat < hi
+        for alpha in (0.0, 0.4, 0.7, 1.1):
+            acc = np.zeros((2 * dim, 2 * dim), dtype=complex)
+            for label, weight in zip(ts.COMPONENT_LABELS, ts.COMPONENT_WEIGHTS):
+                amp = ts.component_state(label, alpha, dim).amplitudes
+                vec = np.concatenate([amp[SPIN_DOWN], amp[SPIN_UP]])
+                acc += weight * np.outer(vec, vec.conj())
+            truth = states.build_hybrid_mixture(alpha, dim).to_matrix()
+            assert np.max(np.abs(acc - truth)) < 1e-13, alpha
 
 
 class TestTrapAcquisition:
@@ -215,3 +175,32 @@ class TestTrapAcquisition:
             hits += int(np.sum(np.abs(diff.imag)[m] <= 3 * sig_im[m]))
             total += int(m.sum())
         assert hits / total >= 0.98
+
+    @pytest.mark.parametrize("angles", tg.standard_setting_angles())
+    def test_mixture_tables_match_density_model(self, angles, monkeypatch):
+        # the weight-summed per-component tables the sampler receives are the
+        # smeared marginals of the mixture's density operator
+        settings = tg.TomographySettings(
+            theta=0.0, phi_spin=0.0, beta_abs=0.6,
+            n_phases=36, n_max=15, n_cutoff=15, eta=0.9,
+        ).with_angles(*angles)
+        captured = {}
+
+        def capture(settings, events, seed, setting_index, weights, window, overflow):
+            captured.update(weights=weights, window=window, overflow=overflow)
+            return []
+
+        monkeypatch.setattr(mc, "sample_records", capture)
+        ts.simulate_trap_acquisition(0.7, settings, 100, seed=1, dim=32)
+        assert captured["weights"] == ts.COMPONENT_WEIGHTS
+        weights = np.asarray(captured["weights"])
+        assert captured["window"].shape == (5, 2, 36, 16)
+        window, overflow = tg.smeared_marginal_tables(
+            states.build_hybrid_mixture(0.7, 32), settings
+        )
+        np.testing.assert_allclose(
+            np.tensordot(weights, captured["window"], axes=1), window, rtol=0, atol=1e-13
+        )
+        np.testing.assert_allclose(
+            np.tensordot(weights, captured["overflow"], axes=1), overflow, rtol=0, atol=1e-13
+        )
