@@ -2,7 +2,8 @@
 
 Configuration is a flat key = value text file; unknown keys are rejected.
 Every output file embeds the sha256 hash of the canonical config text plus
-the seed, and ``verify`` re-derives and checks those hashes.
+the seed, and ``manifest.json`` lists the sha256 of each record file;
+``verify`` re-derives and checks those hashes.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 numerical failure.
 """
@@ -138,6 +139,10 @@ def _record_path(outdir, index):
     return Path(outdir) / f"records_g{index}.jsonl"
 
 
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -201,6 +206,7 @@ def cmd_simulate(config, args):
                     "group": SETTING_GROUP_NAMES[i],
                     "theta": angles[0],
                     "phi_spin": angles[1],
+                    "sha256": _sha256(path),
                 }
             )
         manifest = {
@@ -358,6 +364,15 @@ def cmd_verify(config, args):
         if rehash != manifest.get("config_hash"):
             problems.append("manifest config_hash does not match its config_text")
         expected = manifest.get("config_hash")
+        for entry in manifest.get("files", []):
+            if "sha256" not in entry:
+                continue
+            checked += 1
+            name = entry.get("path")
+            if not isinstance(name, str) or not (outdir / name).is_file():
+                problems.append(f"{name}: missing, listed in the manifest")
+            elif _sha256(outdir / name) != entry["sha256"]:
+                problems.append(f"{name}: sha256 differs from the manifest's")
     else:
         expected = config.config_hash()
     for path in sorted(outdir.glob("*.json")):
@@ -424,7 +439,7 @@ def build_parser():
     p.add_argument("--im-extent", type=float, default=3.0)
     p.add_argument("--reconstruction", help="path to reconstruction.json")
 
-    sub.add_parser("verify", help="check embedded config hashes")
+    sub.add_parser("verify", help="check embedded config hashes and record file hashes")
     return parser
 
 

@@ -20,7 +20,6 @@ from .tomography import MarginalData, smeared_marginal_tables
 __all__ = [
     "MeasurementRecord",
     "phase_generator",
-    "sample_phase_counts",
     "sample_records",
     "simulate_acquisition",
     "write_records",
@@ -66,8 +65,9 @@ class MeasurementRecord:
 
     @classmethod
     def from_json(cls, line):
-        """Parse one record line; every field is required, and a missing or
-        malformed one raises a ValueError naming it."""
+        """Parse one record line; every field is required, integer fields and
+        counts must be JSON integers, and a missing or malformed field raises a
+        ValueError naming it."""
         obj = json.loads(line)
         if not isinstance(obj, dict):
             raise ValueError(f"a record must be a JSON object, not {type(obj).__name__}")
@@ -76,14 +76,14 @@ class MeasurementRecord:
             theta=_field(setting, "theta", float, "setting."),
             phi_spin=_field(setting, "phi_spin", float, "setting."),
             beta_abs=_field(setting, "beta_abs", float, "setting."),
-            phase_index=_field(obj, "phase_index", int),
-            n_phases=_field(obj, "n_phases", int),
-            total_events=_field(obj, "total_events", int),
-            seed=_field(obj, "seed", int),
+            phase_index=_field(obj, "phase_index", _integer),
+            n_phases=_field(obj, "n_phases", _integer),
+            total_events=_field(obj, "total_events", _integer),
+            seed=_field(obj, "seed", _integer),
             counts_up=_field(obj, "counts_up", _count_list),
             counts_down=_field(obj, "counts_down", _count_list),
-            overflow_up=_field(obj, "overflow_up", int),
-            overflow_down=_field(obj, "overflow_down", int),
+            overflow_up=_field(obj, "overflow_up", _integer),
+            overflow_down=_field(obj, "overflow_down", _integer),
         )
 
 
@@ -96,11 +96,17 @@ def _field(obj, name, convert, prefix=""):
         raise ValueError(f"malformed field '{prefix}{name}': {obj[name]!r:.40}") from None
 
 
+def _integer(value):
+    # a JSON integer only: json.loads gives 2.9 as a float and true as a bool
+    if type(value) is not int:
+        raise ValueError("not an integer")
+    return value
+
+
 def _count_list(value):
-    counts = np.asarray(value, dtype=np.int64)
-    if counts.ndim != 1:
-        raise ValueError("not a list of counts")
-    return counts
+    if type(value) is not list or not set(map(type, value)) <= {int}:
+        raise ValueError("not a list of integer counts")
+    return np.array(value, dtype=np.int64)
 
 
 def phase_generator(seed, setting_index, phase_index):
@@ -109,60 +115,45 @@ def phase_generator(seed, setting_index, phase_index):
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def sample_phase_counts(rng, events, window, overflow):
-    """One multinomial draw over the (spin, count) cells plus overflow bins.
-
-    window: (2, n_max+1) probabilities; overflow: (2,).  Returns
-    (counts: (2, n_max+1), overflow_counts: (2,)).
-    """
-    win = window.shape[1]
-    cells = np.concatenate([window[SPIN_UP], window[SPIN_DOWN], overflow])
-    cells = np.clip(cells, 0.0, None)
-    cells /= cells.sum()
-    draw = rng.multinomial(events, cells)
-    counts = np.zeros((2, win), dtype=np.int64)
-    counts[SPIN_UP] = draw[:win]
-    counts[SPIN_DOWN] = draw[win : 2 * win]
-    return counts, np.array([draw[2 * win], draw[2 * win + 1]], dtype=np.int64)
-
-
 def sample_records(settings, events_per_phase, seed, setting_index, weights, window, overflow):
     """Sample one setting group of records from a mixture of k components.
 
     weights: (k,) mixture weights; window: (k, 2, n_phases, n_max+1) detected
     probabilities of each component; overflow: (k, 2, n_phases).  Per phase,
     one generator draws how many events each component gets, then one
-    multinomial over each such component's cells.
+    multinomial over each such component's cells: spin-up counts, spin-down
+    counts, then the down and up overflow bins.
     """
     weights = np.asarray(weights, dtype=float)
-    records = []
+    win = window.shape[-1]
+    cells = np.concatenate(
+        [window[:, SPIN_UP], window[:, SPIN_DOWN], np.swapaxes(overflow, 1, 2)], axis=-1
+    )
+    cells = np.clip(cells, 0.0, None)
+    cells /= cells.sum(axis=-1, keepdims=True)
+    counts = np.zeros(cells.shape[1:], dtype=np.int64)
     for j in range(settings.n_phases):
         rng = phase_generator(seed, setting_index, j)
-        counts = np.zeros((2, window.shape[-1]), dtype=np.int64)
-        over = np.zeros(2, dtype=np.int64)
         for c, runs in enumerate(rng.multinomial(events_per_phase, weights).tolist()):
             if runs:
-                drawn, drawn_over = sample_phase_counts(
-                    rng, runs, window[c, :, j], overflow[c, :, j]
-                )
-                counts += drawn
-                over += drawn_over
-        records.append(
-            MeasurementRecord(
-                theta=settings.theta,
-                phi_spin=settings.phi_spin,
-                beta_abs=settings.beta_abs,
-                phase_index=j,
-                n_phases=settings.n_phases,
-                total_events=events_per_phase,
-                seed=seed,
-                counts_up=counts[SPIN_UP],
-                counts_down=counts[SPIN_DOWN],
-                overflow_up=int(over[SPIN_UP]),
-                overflow_down=int(over[SPIN_DOWN]),
-            )
+                counts[j] += rng.multinomial(runs, cells[c, j])
+    over = counts[:, 2 * win :].tolist()
+    return [
+        MeasurementRecord(
+            theta=settings.theta,
+            phi_spin=settings.phi_spin,
+            beta_abs=settings.beta_abs,
+            phase_index=j,
+            n_phases=settings.n_phases,
+            total_events=events_per_phase,
+            seed=seed,
+            counts_up=counts[j, :win],
+            counts_down=counts[j, win : 2 * win],
+            overflow_up=over[j][SPIN_UP],
+            overflow_down=over[j][SPIN_DOWN],
         )
-    return records
+        for j in range(settings.n_phases)
+    ]
 
 
 def simulate_acquisition(state, settings, events_per_phase, seed, setting_index=0):

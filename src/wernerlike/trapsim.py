@@ -25,7 +25,7 @@ from . import montecarlo
 from .fock import (
     SPIN_DOWN,
     SPIN_UP,
-    displacement_amplitudes,
+    displacement_amplitudes_batch,
     displacement_matrix,
     displaced_support,
     spin_rotation,
@@ -176,14 +176,24 @@ def simulate_trap_acquisition(alpha, settings, events_per_phase, seed, dim=32,
     rows = displaced_support(dim - 1, settings.beta_abs)
     smear = binomial_matrix(settings.eta, settings.n_max + 1, rows)
     u_inv = spin_rotation(-settings.theta, settings.phi_spin)
-    # one real table per exact |beta_j| keeps dmat bit-identical to displacement_matrix
-    betas = [complex(-(settings.beta_abs * np.exp(1j * phase))) for phase in settings.phases]
-    tables = {x: displacement_amplitudes(x, rows, dim) for x in set(map(abs, betas))}
-    mn = np.arange(rows)[:, None] - np.arange(dim)
-    moved = np.stack(
-        [u_inv @ (amps @ (tables[abs(b)] * (b / abs(b)) ** mn).T) for b in betas], axis=2
-    )
-    window, overflow = detected_window(np.abs(moved) ** 2, smear)
+    # moved[j, c] = u_inv @ amps[c] @ D(beta_j)^T, stacked over the per-matrix
+    # products of one phase at a time: one flattened product rounds differently
+    moved = u_inv @ (amps @ _phase_displacements(settings, rows, dim).swapaxes(1, 2)[:, None])
+    window, overflow = detected_window(np.abs(moved.transpose(1, 2, 0, 3)) ** 2, smear)
     return montecarlo.sample_records(
         settings, events_per_phase, seed, setting_index, COMPONENT_WEIGHTS, window, overflow
     )
+
+
+def _phase_displacements(settings, rows, dim):
+    """D(beta_j), beta_j = -beta_abs e^{i phase_j}, as (n_phases, rows, dim) blocks
+    bit-identical to ``displacement_matrix``: the kernel is elementwise over a
+    batch of |beta_j|, and each phase factor is raised once to every m - n."""
+    betas = [complex(-(settings.beta_abs * np.exp(1j * phase))) for phase in settings.phases]
+    xs = sorted(set(map(abs, betas)))
+    tables = displacement_amplitudes_batch(xs, rows, dim)
+    powers = np.array([b / abs(b) for b in betas])[:, None] ** np.arange(1 - dim, rows)
+    mn = np.arange(rows)[:, None] - np.arange(dim) + dim - 1
+    dmat = np.take(powers, mn, axis=1)
+    dmat *= tables[[xs.index(abs(b)) for b in betas]]
+    return dmat

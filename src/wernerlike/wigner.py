@@ -167,15 +167,19 @@ def profile_maxima(x, y):
 def write_grid_csv(path, grid, comments=()):
     """Columns (re_gamma, im_gamma, block, re_W, im_W), one row per sample.
 
-    Rows end in CRLF and no field is quoted, as ``csv.writer`` writes them.
+    Rows end in CRLF and no field is quoted, as ``csv.writer`` writes them;
+    ``%.12g`` writes the same digits as ``format(x, ".12g")``.
     """
-    coords = [f"{gr:.12g},{gi:.12g}," for gi in grid.im_axis for gr in grid.re_axis]
+    re_text = [f"{gr:.12g}," for gr in grid.re_axis.tolist()]
+    im_text = [f"{gi:.12g}," for gi in grid.im_axis.tolist()]
+    fields = [None] * (3 * len(re_text) * len(im_text))
+    fields[::3] = [gr + gi for gi in im_text for gr in re_text]
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write("re_gamma,im_gamma,block,re_W,im_W\r\n")
         for name in BLOCK_NAMES:
-            values = grid.blocks[name].ravel().tolist()
-            fh.write("".join(
-                f"{xy}{name},{w.real:.12g},{w.imag:.12g}\r\n" for xy, w in zip(coords, values)
-            ))
+            values = grid.blocks[name].ravel()
+            fields[1::3] = values.real.tolist()
+            fields[2::3] = values.imag.tolist()
+            fh.write(f"%s{name},%.12g,%.12g\r\n" * values.size % tuple(fields))

@@ -193,8 +193,12 @@ class TestSimulateReconstruct:
             (lambda rec: rec.update(setting=None), "setting"),
             (lambda rec: rec.pop("overflow_up"), "overflow_up"),
             (None, "JSON object"),
+            (lambda rec: rec.update(phase_index=2.9), "phase_index"),
+            (lambda rec: rec.update(counts_up=["1", 1.8]), "counts_up"),
+            (lambda rec: rec.update(overflow_down=True), "overflow_down"),
         ],
-        ids=["missing-counts", "null-setting", "missing-overflow", "array-line"],
+        ids=["missing-counts", "null-setting", "missing-overflow", "array-line",
+             "float-index", "non-integer-counts", "bool-overflow"],
     )
     def test_malformed_record_line_rejected(self, tmp_path, config_path, capsys,
                                             corrupt, field):
@@ -354,6 +358,40 @@ class TestVerify:
         path.write_text(text.replace("# config_hash=", "# config_hash=0", 1))
         assert run_cli("--config", config_path, "--out", out, "verify") == EXIT_VALIDATION
         assert "metrics.csv: config_hash mismatch" in capsys.readouterr().err
+
+    def test_manifest_holds_record_hashes(self, tmp_path, config_path):
+        out = tmp_path / "run"
+        run_cli("--config", config_path, "--out", out, "simulate")
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        assert [f["path"] for f in files] == [f"records_g{i}.jsonl" for i in range(3)]
+        for f in files:
+            assert f["sha256"] == hashlib.sha256((out / f["path"]).read_bytes()).hexdigest()
+
+    def test_edited_count_digit_detected(self, tmp_path, config_path, capsys):
+        out = tmp_path / "run"
+        run_cli("--config", config_path, "--out", out, "simulate")
+        path = out / "records_g1.jsonl"
+        text = path.read_text()
+        start = text.index('"counts_up": [') + len('"counts_up": [')
+        digit = text[start]
+        path.write_text(text[:start] + str((int(digit) + 1) % 10) + text[start + 1 :])
+        capsys.readouterr()
+        assert run_cli("--config", config_path, "--out", out, "verify") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "records_g1.jsonl" in err and "records_g0.jsonl" not in err
+
+    def test_missing_record_file_detected(self, tmp_path, config_path, capsys):
+        out = tmp_path / "run"
+        run_cli("--config", config_path, "--out", out, "simulate")
+        (out / "records_g2.jsonl").unlink()
+        capsys.readouterr()
+        assert run_cli("--config", config_path, "--out", out, "verify") == EXIT_VALIDATION
+        assert "records_g2.jsonl: missing" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["files"][0]["path"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("--config", config_path, "--out", out, "verify") == EXIT_VALIDATION
+        assert "None: missing" in capsys.readouterr().err
 
     def test_empty_directory_rejected(self, tmp_path, config_path):
         out = tmp_path / "nothing"

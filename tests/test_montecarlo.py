@@ -22,6 +22,45 @@ def state16():
     return states.build_hybrid_mixture(0.7, 16)
 
 
+def sample_phase_counts(rng, events, window, overflow):
+    """Reference: one multinomial draw over one phase's (spin, count) cells
+    plus overflow bins, normalised per call."""
+    win = window.shape[1]
+    cells = np.concatenate([window[fock.SPIN_UP], window[fock.SPIN_DOWN], overflow])
+    cells = np.clip(cells, 0.0, None)
+    cells /= cells.sum()
+    draw = rng.multinomial(events, cells)
+    counts = np.zeros((2, win), dtype=np.int64)
+    counts[fock.SPIN_UP] = draw[:win]
+    counts[fock.SPIN_DOWN] = draw[win : 2 * win]
+    return counts, np.array([draw[2 * win], draw[2 * win + 1]], dtype=np.int64)
+
+
+def reference_sample_records(settings, events_per_phase, seed, setting_index, weights,
+                             window, overflow):
+    """Reference: the per-phase mixture sampler, one cell table per draw."""
+    weights = np.asarray(weights, dtype=float)
+    records = []
+    for j in range(settings.n_phases):
+        rng = mc.phase_generator(seed, setting_index, j)
+        counts = np.zeros((2, window.shape[-1]), dtype=np.int64)
+        over = np.zeros(2, dtype=np.int64)
+        for c, runs in enumerate(rng.multinomial(events_per_phase, weights).tolist()):
+            if runs:
+                drawn, drawn_over = sample_phase_counts(
+                    rng, runs, window[c, :, j], overflow[c, :, j]
+                )
+                counts += drawn
+                over += drawn_over
+        records.append(mc.MeasurementRecord(
+            theta=settings.theta, phi_spin=settings.phi_spin, beta_abs=settings.beta_abs,
+            phase_index=j, n_phases=settings.n_phases, total_events=events_per_phase,
+            seed=seed, counts_up=counts[fock.SPIN_UP], counts_down=counts[fock.SPIN_DOWN],
+            overflow_up=int(over[fock.SPIN_UP]), overflow_down=int(over[fock.SPIN_DOWN]),
+        ))
+    return records
+
+
 class TestSimulateAcquisition:
     def test_totals(self, state16):
         records = mc.simulate_acquisition(state16, small_settings(), 700, seed=5)
@@ -49,7 +88,7 @@ class TestSimulateAcquisition:
         full = mc.simulate_acquisition(state16, settings, 300, seed=4)
         rng = mc.phase_generator(4, 0, 13)
         window, overflow = tg.smeared_marginal_tables(state16, settings)
-        counts, over = mc.sample_phase_counts(rng, 300, window[:, 13, :], overflow[:, 13])
+        counts, over = sample_phase_counts(rng, 300, window[:, 13, :], overflow[:, 13])
         np.testing.assert_array_equal(full[13].counts_up, counts[fock.SPIN_UP])
         np.testing.assert_array_equal(full[13].counts_down, counts[fock.SPIN_DOWN])
 
@@ -101,6 +140,33 @@ class TestSampleRecords:
             assert rec.counts_up.sum() + rec.counts_down.sum() + rec.overflow_up == 900
             assert rec.overflow_down == 0
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_the_per_phase_reference(self, k):
+        # random component tables with a zero-weight component (k > 1) and
+        # entries of -1e-18 that the sampler clips, as rounding leaves them
+        settings = small_settings()
+        rng = np.random.default_rng(k)
+        shape = (k, 2, settings.n_phases, settings.n_max + 1)
+        window = rng.dirichlet(np.ones(2 * shape[-1] + 2), size=(k, settings.n_phases))
+        overflow = np.moveaxis(window[..., -2:], -1, 1).copy()
+        window = np.moveaxis(window[..., :-2].reshape(k, settings.n_phases, 2, -1), 2, 1).copy()
+        assert window.shape == shape
+        window[:, :, ::5, 3] = -1e-18
+        overflow[:, 0, ::7] = -1e-18
+        weights = rng.dirichlet(np.ones(k))
+        if k > 1:
+            weights[1] = 0.0
+            weights /= weights.sum()
+        got = mc.sample_records(settings, 700, 12, 1, weights, window, overflow)
+        want = reference_sample_records(settings, 700, 12, 1, weights, window, overflow)
+        assert len(got) == len(want) == settings.n_phases
+        for a, b in zip(got, want):
+            assert a.to_json() == b.to_json()
+            for name in ("counts_up", "counts_down"):
+                assert getattr(a, name).dtype == np.int64
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            assert type(a.overflow_up) is int and type(a.overflow_down) is int
+
 
 class TestRecords:
     def test_jsonl_round_trip(self, state16, tmp_path):
@@ -127,6 +193,28 @@ class TestRecords:
         }
         assert set(obj["setting"]) == {"theta", "phi_spin", "beta_abs"}
         assert len(obj["counts_up"]) == 12
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("phase_index", 2.9),
+            ("phase_index", 2.0),
+            ("total_events", "100"),
+            ("overflow_down", True),
+            ("counts_up", ["1", 1.8]),
+            ("counts_down", [1, True]),
+            ("counts_down", [[1, 2]]),
+            ("counts_up", {"0": 1}),
+        ],
+    )
+    def test_non_integer_values_rejected(self, state16, field, value):
+        import json
+
+        obj = json.loads(mc.simulate_acquisition(state16, small_settings(), 100, seed=1)[0]
+                         .to_json())
+        obj[field] = value
+        with pytest.raises(ValueError, match=f"malformed field '{field}'"):
+            mc.MeasurementRecord.from_json(json.dumps(obj))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

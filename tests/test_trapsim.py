@@ -177,6 +177,21 @@ class TestTrapAcquisition:
         assert hits / total >= 0.98
 
     @pytest.mark.parametrize("angles", tg.standard_setting_angles())
+    def test_phase_tables_equal_displacement_matrix(self, angles):
+        # the batched tables are the per-phase D(beta_j) blocks bit for bit
+        settings = tg.TomographySettings(
+            theta=0.0, phi_spin=0.0, beta_abs=0.6,
+            n_phases=96, n_max=31, n_cutoff=31, eta=0.9,
+        ).with_angles(*angles)
+        dim = 32
+        rows = fock.displaced_support(dim - 1, settings.beta_abs)
+        tables = ts._phase_displacements(settings, rows, dim)
+        assert tables.shape == (96, rows, dim)
+        for j, phase in enumerate(settings.phases):
+            beta = -(settings.beta_abs * np.exp(1j * phase))
+            assert np.array_equal(tables[j], fock.displacement_matrix(beta, rows, dim)), j
+
+    @pytest.mark.parametrize("angles", tg.standard_setting_angles())
     def test_mixture_tables_match_density_model(self, angles, monkeypatch):
         # the weight-summed per-component tables the sampler receives are the
         # smeared marginals of the mixture's density operator

@@ -86,6 +86,20 @@ def csv_writer_grid(path, grid, comments=()):
                     )
 
 
+def per_row_writer_grid(path, grid, comments=()):
+    """Reference: the former export, one f-string per row."""
+    coords = [f"{gr:.12g},{gi:.12g}," for gi in grid.im_axis for gr in grid.re_axis]
+    with open(path, "w", newline="") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        fh.write("re_gamma,im_gamma,block,re_W,im_W\r\n")
+        for name in wg.BLOCK_NAMES:
+            values = grid.blocks[name].ravel().tolist()
+            fh.write("".join(
+                f"{xy}{name},{w.real:.12g},{w.imag:.12g}\r\n" for xy, w in zip(coords, values)
+            ))
+
+
 def random_blocks(rng, sizes, scale):
     """Hermitian and non-Hermitian blocks of mixed sizes, max |entry| = scale."""
     blocks = {}
@@ -322,6 +336,26 @@ class TestExport:
         wg.write_grid_csv(tmp_path / "got.csv", grid, comments=comments)
         csv_writer_grid(tmp_path / "ref.csv", grid, comments=comments)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_csv_bytes_match_per_row_writer(self, tmp_path, grid07):
+        special = [-0.0, 0.0, 5e-324, -5e-324, 1e16, np.nan, np.inf, -np.inf]
+        re_axis = grid07.re_axis.copy()
+        im_axis = grid07.im_axis.copy()
+        re_axis[: len(special)] = special
+        im_axis[: len(special)] = special[::-1]
+        blocks = {name: grid07.blocks[name].copy() for name in wg.BLOCK_NAMES}
+        blocks["uu"][0, : len(special)] = special
+        blocks["ud"][1, : len(special)].real = special[::-1]
+        blocks["ud"][1, : len(special)].imag = special
+        blocks["dd"][-1, -len(special) :].imag = special
+        grid = wg.WignerGrid(re_axis, im_axis, blocks)
+        comments = ["config_hash=xyz", "seed=7"]
+        wg.write_grid_csv(tmp_path / "got.csv", grid, comments=comments)
+        per_row_writer_grid(tmp_path / "ref.csv", grid, comments=comments)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        for text in (b"-0,", b",0,", b"4.94065645841e-324", b"1e+16", b"nan", b"-inf"):
+            assert text in got
 
     def test_csv_and_sidecar(self, tmp_path, hybrid07):
         re_axis = np.arange(-1.0, 1.05, 0.5)
