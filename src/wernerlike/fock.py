@@ -11,13 +11,23 @@ Displacement matrix elements <m|D(beta)|n> come from the associated-Laguerre
 closed form sqrt(k!/(k+d)!) |beta|^d e^(-|beta|^2/2) L_k^(d)(|beta|^2) with
 k = min(m, n), d = |m - n|, times (-1)^d for m < n (Cahill and Glauber, PR
 177, 1857, 1969).  One kernel, ``displacement_amplitudes_batch``, builds the
-real table for a batch of |beta|: it runs the three-term degree recurrence in
-place on the output, step k advancing row and column k+1 from the two before
-them, so a table takes min(rows, cols) array steps; one exp then applies the
-log-factorial prefactor.  Against the closed form in mpmath, the real table's
-largest absolute error is 1e-15 at |beta|^2 = 91 for 32 x 32 (the default
-Wigner grid's corner, which evaluates D(2 gamma)), 6e-15 at 16 for 80 x 80
-and 2e-14 at 1.44 for 163 x 163; beyond that it is unchecked.
+real table for a batch of |beta|.  L_k^(d) depends only on min(m, n) and
+|m - n|, so it runs the three-term degree recurrence along rows only, on a
+(short, wide, batch) array with the batch axis innermost: step k advances
+row k+1 from the two rows before it, min(rows, cols) array steps in all.
+The lower triangle is then copied from the upper one, and the log-factorial
+prefactor, one exp in (batch, rows, cols), is multiplied by the transposed
+view of that array.  ``displaced_support`` probes in the (n_top + 1, K)
+orientation the forward model and the inversion use and keeps its accepted
+table, read-only, in one slot; ``displacement_amplitudes`` hands that table
+out when (x, rows, cols) match, so the forward marginals and the inversion
+of a design make no second kernel call.  The slot holds one table and is
+replaced by the next search; it is not a cache across searches.
+
+Against the closed form in mpmath, the real table's largest absolute error
+is 1e-15 at |beta|^2 = 91 for 32 x 32 (the default Wigner grid's corner,
+which evaluates D(2 gamma)), 6e-15 at 16 for 80 x 80 and 2e-14 at 1.44 for
+163 x 163; beyond that it is unchecked.
 
 The log-factorials ln k! behind every prefactor here and in the binomial
 detection response come from one table of ``math.lgamma(k + 1)``, which
@@ -87,6 +97,31 @@ def coherent_state(alpha, dim):
     return amp
 
 
+def _laguerre_rows(y, short, wide):
+    """L_k^(d)(y) for k = min(i, j), d = |i - j|, as a (short, wide, batch)
+    array, the batch axis innermost.
+
+    Row k+1 comes from the two rows before it at equal d, for j >= k+1 only;
+    L depends on min(i, j) and |i - j| alone, so the lower triangle is then
+    copied from the upper one.  The recurrence coefficients c = 2k+1+d and
+    k+d are integers, exact in float, so each step reads c - y and k + d as
+    slices of columns built once.
+    """
+    whole = np.arange(short + wide, dtype=float)[:, None]
+    c_minus_y = whole - y
+    lag = np.ones((short, wide, y.size))
+    if short > 1:
+        lag[1, 1:] = c_minus_y[1:wide]
+    for k in range(1, short - 1):
+        row = lag[k + 1, k + 1 :]
+        np.multiply(c_minus_y[2 * k + 1 : k + wide], lag[k, k : wide - 1], out=row)
+        row -= whole[k : wide - 1] * lag[k - 1, k - 1 : wide - 2]
+        row /= k + 1.0
+    for k in range(1, short):
+        lag[k, :k] = lag[:k, k]
+    return lag
+
+
 def displacement_amplitudes_batch(xs, n_rows, n_cols):
     """<m|D(x)|n> for a batch of real displacements x >= 0.
 
@@ -96,44 +131,39 @@ def displacement_amplitudes_batch(xs, n_rows, n_cols):
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if np.any(xs < 0):
         raise ValueError("real displacement amplitudes need x >= 0")
-    y = (xs * xs)[:, None]
+    y = xs * xs
+    # prefactor sqrt(k!/(k+d)!) x^d e^(-y/2), sign (-1)^d above the diagonal
     m = np.arange(n_rows)[:, None]
     n = np.arange(n_cols)[None, :]
     d = np.abs(m - n).astype(float)
-    # Element (m, n) holds L_k^(d)(y) with k = min(m, n), d = |m - n|.  Step k
-    # fills row k+1 (n >= k+1) and column k+1 (m >= k+2) from the two rows
-    # and columns before it at equal d.
-    out = np.ones((xs.size, n_rows, n_cols))
-    for k in range(min(n_rows, n_cols) - 1):
-        dr = d[k, k : n_cols - 1]
-        dc = d[k + 1 : n_rows - 1, k]
-        if k == 0:
-            out[:, 1, 1:] = 1.0 + dr - y
-            out[:, 2:, 1] = 1.0 + dc - y
-            continue
-        out[:, k + 1, k + 1 :] = (
-            (2.0 * k + 1.0 + dr - y) * out[:, k, k : n_cols - 1]
-            - (k + dr) * out[:, k - 1, k - 1 : n_cols - 2]
-        ) / (k + 1.0)
-        out[:, k + 2 :, k + 1] = (
-            (2.0 * k + 1.0 + dc - y) * out[:, k + 1 : n_rows - 1, k]
-            - (k + dc) * out[:, k : n_rows - 2, k - 1]
-        ) / (k + 1.0)
-    # prefactor sqrt(k!/(k+d)!) x^d e^(-y/2), sign (-1)^d above the diagonal
     lg = _log_factorials(max(n_rows, n_cols))
     with np.errstate(divide="ignore", invalid="ignore"):
-        pref = d * np.log(xs)[:, None, None]
-        np.add(0.5 * (lg[np.minimum(m, n)] - lg[np.maximum(m, n)]), pref, out=pref)
-        pref -= 0.5 * y[:, :, None]
-        np.exp(pref, out=pref)
-    pref *= np.where((n > m) & (d % 2 == 1), -1.0, 1.0)
-    out *= pref
+        out = d * np.log(xs)[:, None, None]
+        np.add(0.5 * (lg[np.minimum(m, n)] - lg[np.maximum(m, n)]), out, out=out)
+        out -= 0.5 * y[:, None, None]
+        np.exp(out, out=out)
+    out *= np.where((n > m) & (d % 2 == 1), -1.0, 1.0)
+    # the Laguerre rows are built after the output and freed first: in the
+    # other order their freed block stays resident below the output, which
+    # raised the peak RSS of a default Wigner map by 1.2 MB
+    lag = _laguerre_rows(y, min(n_rows, n_cols), max(n_rows, n_cols))
+    out *= lag.transpose(2, 0, 1) if n_rows <= n_cols else lag.transpose(2, 1, 0)
     out[xs == 0.0] = np.eye(n_rows, n_cols)
     return out
 
 
+#: (x, n_rows, n_cols, table) of the last table ``displaced_support`` accepted
+_support_table = None
+
+
 def displacement_amplitudes(x, n_rows, n_cols):
-    """<m|D(x)|n> for a single real x >= 0; shape (n_rows, n_cols), real."""
+    """<m|D(x)|n> for a single real x >= 0; shape (n_rows, n_cols), real.
+
+    The table the last ``displaced_support`` search accepted is returned as
+    is, read-only, when (x, n_rows, n_cols) match it.
+    """
+    if _support_table is not None and _support_table[:3] == (x, n_rows, n_cols):
+        return _support_table[3]
     return displacement_amplitudes_batch([x], n_rows, n_cols)[0]
 
 
@@ -155,17 +185,33 @@ def displacement_matrix(beta, n_rows, n_cols):
 
 def displaced_support(n_top, beta_abs, tol=1e-13):
     """Row count K so that D(beta)|n> for n <= n_top keeps all but ``tol``
-    of its norm on Fock components below K."""
+    of its norm on Fock components below K.
+
+    Probes grow K by 16 rows.  Once a probe no longer reduces the largest
+    deficit, the deficit is the kernel's rounding floor and the rows before
+    that probe are accepted.  The accepted (n_top + 1, K) table is kept,
+    read-only, for ``displacement_amplitudes``.
+    """
+    global _support_table
     x = float(abs(beta_abs))
     k = int(np.ceil((np.sqrt(n_top + 1.0) + x) ** 2 + 8.0 * (x + 1.0) + 8.0))
     limit = n_top + 4096
+    last = None
     while k < limit:
-        f = displacement_amplitudes(x, k, n_top + 1)
-        deficit = 1.0 - np.sum(f * f, axis=0)
-        if float(np.max(deficit)) < tol:
-            return k
+        f = displacement_amplitudes_batch([x], n_top + 1, k)[0]
+        deficit = float(np.max(1.0 - np.sum(f * f, axis=1)))
+        if deficit < tol:
+            break
+        if last is not None and deficit >= last[0]:
+            _, k, f = last
+            break
+        last = (deficit, k, f)
         k += 16
-    raise TruncationError("displaced support search did not converge")
+    else:
+        raise TruncationError("displaced support search did not converge")
+    f.setflags(write=False)
+    _support_table = (x, n_top + 1, k, f)
+    return k
 
 
 def spin_rotation(theta, phi):

@@ -10,6 +10,7 @@ rates used here and zero-count cells get zero variance).
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,16 +67,17 @@ class MeasurementRecord:
     @classmethod
     def from_json(cls, line):
         """Parse one record line; every field is required, integer fields and
-        counts must be JSON integers, and a missing or malformed field raises a
-        ValueError naming it."""
+        counts must be JSON integers, setting angles and |beta| finite JSON
+        numbers, and a missing or malformed field raises a ValueError naming
+        it."""
         obj = json.loads(line)
         if not isinstance(obj, dict):
             raise ValueError(f"a record must be a JSON object, not {type(obj).__name__}")
         setting = _field(obj, "setting", dict)
         return cls(
-            theta=_field(setting, "theta", float, "setting."),
-            phi_spin=_field(setting, "phi_spin", float, "setting."),
-            beta_abs=_field(setting, "beta_abs", float, "setting."),
+            theta=_field(setting, "theta", _number, "setting."),
+            phi_spin=_field(setting, "phi_spin", _number, "setting."),
+            beta_abs=_field(setting, "beta_abs", _number, "setting."),
             phase_index=_field(obj, "phase_index", _integer),
             n_phases=_field(obj, "n_phases", _integer),
             total_events=_field(obj, "total_events", _integer),
@@ -101,6 +103,13 @@ def _integer(value):
     if type(value) is not int:
         raise ValueError("not an integer")
     return value
+
+
+def _number(value):
+    # a finite JSON number only: not a string, a bool or a non-finite constant
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return float(value)
 
 
 def _count_list(value):

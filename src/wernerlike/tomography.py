@@ -298,7 +298,12 @@ def detected_window(wide, b):
 
 @dataclass(frozen=True)
 class OrderSystem:
-    """Pseudo-inverse and diagnostics of one Fourier-order system."""
+    """Pseudo-inverse and diagnostics of one Fourier-order system.
+
+    ``cond`` is (s_max / s_min)^2 over the kept singular values, the
+    condition number of the normal equations (inf when none is kept);
+    ``dropped`` counts the singular values below SINGULAR_FLOOR.
+    """
 
     r: int
     m: np.ndarray

@@ -196,9 +196,13 @@ class TestSimulateReconstruct:
             (lambda rec: rec.update(phase_index=2.9), "phase_index"),
             (lambda rec: rec.update(counts_up=["1", 1.8]), "counts_up"),
             (lambda rec: rec.update(overflow_down=True), "overflow_down"),
+            (lambda rec: rec["setting"].update(theta="0.5"), "setting.theta"),
+            (lambda rec: rec["setting"].update(beta_abs=True), "setting.beta_abs"),
+            (lambda rec: rec["setting"].update(phi_spin=float("nan")), "setting.phi_spin"),
         ],
         ids=["missing-counts", "null-setting", "missing-overflow", "array-line",
-             "float-index", "non-integer-counts", "bool-overflow"],
+             "float-index", "non-integer-counts", "bool-overflow", "string-theta",
+             "bool-beta", "nan-phi-spin"],
     )
     def test_malformed_record_line_rejected(self, tmp_path, config_path, capsys,
                                             corrupt, field):
@@ -257,6 +261,34 @@ def test_records_match_golden_hashes(tmp_path, seed, backend):
     got = [hashlib.sha256((out / f"records_g{i}.jsonl").read_bytes()).hexdigest()
            for i in range(3)]
     assert got == golden
+
+
+#: sha256 of the downstream outputs of simulate, reconstruct and wigner --source
+#: both at seed 20260801 (density backend, default config)
+OUTPUT_HASHES = {
+    "reconstruction.json": "d37d283aceab3b2f26d274642bf18037af54c109667eb687ae9b55d300c92c82",
+    "wigner_true.csv": "d3b0b5111d474af05f4ab9744d54eecd2b7f25c50758bbc3565a216898d8fc66",
+    "wigner_recon.csv": "862c96c0757f9d3bba7be4b21e9a29575797382ad9abeeded750c4aaa2e37a9b",
+}
+
+
+@pytest.mark.filterwarnings("ignore:grid integrals")  # the raw estimate's surface
+def test_outputs_match_pinned_hashes(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("backend = density\n")
+    out = tmp_path / "run"
+    for stage in (("simulate",), ("reconstruct",), ("wigner", "--source", "both")):
+        assert run_cli("--config", path, "--seed", 20260801, "--out", out, *stage) == EXIT_OK
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUT_HASHES}
+    assert got == OUTPUT_HASHES
+
+
+def test_support_at_the_rounding_floor_simulates(tmp_path):
+    # at |beta| 0.1 the largest norm deficit of a 61-dim state's displaced
+    # support stays at the kernel's rounding floor, above tol = 1e-13
+    path = tmp_path / "run.cfg"
+    path.write_text("cutoff = 61\nn_max = 60\nn_cutoff = 60\nn_phases = 128\nbeta_abs = 0.1\n")
+    assert run_cli("--config", path, "--out", tmp_path / "run", "simulate") == EXIT_OK
 
 
 class TestManifestCheck:

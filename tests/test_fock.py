@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, factorial, gammaln
 
-from wernerlike import fock
+from wernerlike import cli, fock, tomography
 
 
 def laguerre_diagonal(count, offset, y):
@@ -63,6 +63,31 @@ def amplitudes_per_diagonal(xs, n_rows, n_cols):
         block[:, m_idx, m_idx + d] = ((-1.0) ** d * pref * lag).T
     out[idx] = block
     return out
+
+
+def support_axis0(n_top, beta_abs, tol=1e-13):
+    """Reference support search: the former (K, n_top + 1) probe summed over
+    axis 0, with no stop at the rounding floor (None where it gives up)."""
+    x = float(abs(beta_abs))
+    k = int(np.ceil((np.sqrt(n_top + 1.0) + x) ** 2 + 8.0 * (x + 1.0) + 8.0))
+    while k < n_top + 4096:
+        f = fock.displacement_amplitudes_batch([x], k, n_top + 1)[0]
+        if float(np.max(1.0 - np.sum(f * f, axis=0))) < tol:
+            return k
+        k += 16
+    return None
+
+
+def count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = fock.displacement_amplitudes_batch
+
+    def counted(*args):
+        calls.append(args[1:])
+        return kernel(*args)
+
+    monkeypatch.setattr(fock, "displacement_amplitudes_batch", counted)
+    return calls
 
 
 def expm_displacement(beta, dim):
@@ -220,6 +245,9 @@ class TestDisplacementOperator:
             ([4.0], 80, 80),
             ([0.6], 1, 5),
             ([0.6], 5, 1),
+            ([0.6], 7, 34),
+            ([0.0, 0.6, 1.3], 15, 47),
+            ([0.6], 32, 73),
         ],
     )
     def test_batch_is_bit_identical_to_per_diagonal_reference(self, xs, n_rows, n_cols):
@@ -231,6 +259,47 @@ class TestDisplacementOperator:
         k = fock.displaced_support(8, 2.0)
         f = fock.displacement_amplitudes(2.0, k, 9)
         assert 1.0 - np.min(np.sum(f * f, axis=0)) < 1e-12
+
+
+class TestDisplacedSupport:
+    def test_support_matches_the_axis0_search(self):
+        for n_top in range(40):
+            for beta_abs in np.round(np.arange(0.1, 3.01, 0.1), 10):
+                assert fock.displaced_support(n_top, beta_abs) == support_axis0(n_top, beta_abs)
+
+    @pytest.mark.parametrize("n_top, expected", [(60, 80), (80, 100)])
+    def test_search_stops_at_the_rounding_floor(self, monkeypatch, n_top, expected):
+        calls = count_kernel_calls(monkeypatch)
+        k = fock.displaced_support(n_top, 0.1)
+        assert k == expected and len(calls) <= 2
+        # the largest deficit sits at the same rounding floor above tol = 1e-13
+        # however many rows are added
+        deficits = [
+            np.max(1.0 - np.sum(fock.displacement_amplitudes_batch([0.1], n_top + 1, rows) ** 2,
+                                axis=2))
+            for rows in (k, k + 16, k + 160)
+        ]
+        assert 1e-13 < min(deficits) and max(deficits) < 1e-12
+
+    def test_search_table_is_handed_out_read_only(self):
+        k = fock.displaced_support(31, 0.6)
+        f = fock.displacement_amplitudes(0.6, 32, k)
+        assert np.array_equal(f, amplitudes_per_diagonal([0.6], 32, k)[0])
+        assert not f.flags.writeable
+        with pytest.raises(ValueError):
+            f[0, 0] = 0.0
+        assert fock.displacement_amplitudes(0.6, 32, k - 1).flags.writeable
+
+    def test_forward_model_and_inversion_reuse_the_search_table(self, monkeypatch):
+        config = cli.RunConfig()
+        state, settings = config.truth_state(), config.settings()
+        calls = count_kernel_calls(monkeypatch)
+        rows = fock.displaced_support(state.dim - 1, settings.beta_abs)
+        tomography.ideal_marginal_tables(state, settings, rows)
+        assert calls == [(state.dim, rows)]
+        del calls[:]
+        tomography.inversion_systems.__wrapped__(settings)
+        assert len(calls) == 1
 
 
 class TestSpinRotation:
