@@ -33,10 +33,9 @@ from .tomography import (
     SingularSystemError,
     TomographySettings,
     exact_marginal_data,
-    marginal_w,
     reconstruct_full,
 )
 from .montecarlo import MeasurementRecord, estimate_marginals, simulate_acquisition
-from .wigner import wigner_grid, wigner_point
+from .wigner import wigner_grid
 
 __version__ = "0.1.0"

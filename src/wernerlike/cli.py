@@ -143,6 +143,17 @@ def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _read_json_object(path):
+    """The JSON object a file holds; a ConfigError naming the file otherwise."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    return payload
+
+
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -241,7 +252,7 @@ def _check_manifest(config, records_dir):
     path = records_dir / "manifest.json"
     if not path.exists():
         return
-    manifest = json.loads(path.read_text())
+    manifest = _read_json_object(path)
     expected = {"seed": config.seed, "backend": config.backend,
                 "config_hash": config.config_hash()}
     for key, value in expected.items():
@@ -318,7 +329,10 @@ def cmd_wigner(config, args):
             recon_path = Path(args.reconstruction) if args.reconstruction else outdir / "reconstruction.json"
             if not recon_path.exists():
                 raise ConfigError(f"no reconstruction file at {recon_path}")
-            estimate, _ = tomography.load_estimate_json(recon_path)
+            try:
+                estimate, _ = tomography.load_estimate_json(recon_path)
+            except ValueError as exc:
+                raise ConfigError(f"{recon_path}: {exc}") from exc
             st = estimate.to_state()
             sources["recon"] = {name: getattr(st, name) for name in wigner.BLOCK_NAMES}
         # one displacement table serves every source's blocks
@@ -357,14 +371,18 @@ def cmd_verify(config, args):
     problems = []
     checked = 0
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
-        text = manifest.get("config_text", "")
+        manifest = _read_json_object(manifest_path)
+        text, files = manifest.get("config_text", ""), manifest.get("files", [])
+        if not isinstance(text, str):
+            raise ConfigError(f"{manifest_path}: config_text must be a string")
+        if not (isinstance(files, list) and all(isinstance(e, dict) for e in files)):
+            raise ConfigError(f"{manifest_path}: files must be a list of objects")
         rehash = hashlib.sha256(text.encode()).hexdigest()
         checked += 1
         if rehash != manifest.get("config_hash"):
             problems.append("manifest config_hash does not match its config_text")
         expected = manifest.get("config_hash")
-        for entry in manifest.get("files", []):
+        for entry in files:
             if "sha256" not in entry:
                 continue
             checked += 1
@@ -378,7 +396,7 @@ def cmd_verify(config, args):
     for path in sorted(outdir.glob("*.json")):
         if path.name == "manifest.json":
             continue
-        payload = json.loads(path.read_text())
+        payload = _read_json_object(path)
         if "config_hash" in payload:
             checked += 1
             if payload["config_hash"] != expected:

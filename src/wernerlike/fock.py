@@ -18,11 +18,9 @@ row k+1 from the two rows before it, min(rows, cols) array steps in all.
 The lower triangle is then copied from the upper one, and the log-factorial
 prefactor, one exp in (batch, rows, cols), is multiplied by the transposed
 view of that array.  ``displaced_support`` probes in the (n_top + 1, K)
-orientation the forward model and the inversion use and keeps its accepted
-table, read-only, in one slot; ``displacement_amplitudes`` hands that table
-out when (x, rows, cols) match, so the forward marginals and the inversion
-of a design make no second kernel call.  The slot holds one table and is
-replaced by the next search; it is not a cache across searches.
+orientation the forward model and the inversion use and returns its accepted
+table, so the forward marginals and the inversion of a design read K from
+its shape and make no second kernel call.
 
 Against the closed form in mpmath, the real table's largest absolute error
 is 1e-15 at |beta|^2 = 91 for 32 x 32 (the default Wigner grid's corner,
@@ -47,7 +45,6 @@ __all__ = [
     "SIGMA3",
     "TruncationError",
     "coherent_state",
-    "displacement_amplitudes",
     "displacement_amplitudes_batch",
     "displacement_matrix",
     "displaced_support",
@@ -152,21 +149,6 @@ def displacement_amplitudes_batch(xs, n_rows, n_cols):
     return out
 
 
-#: (x, n_rows, n_cols, table) of the last table ``displaced_support`` accepted
-_support_table = None
-
-
-def displacement_amplitudes(x, n_rows, n_cols):
-    """<m|D(x)|n> for a single real x >= 0; shape (n_rows, n_cols), real.
-
-    The table the last ``displaced_support`` search accepted is returned as
-    is, read-only, when (x, n_rows, n_cols) match it.
-    """
-    if _support_table is not None and _support_table[:3] == (x, n_rows, n_cols):
-        return _support_table[3]
-    return displacement_amplitudes_batch([x], n_rows, n_cols)[0]
-
-
 def displacement_matrix(beta, n_rows, n_cols):
     """Rectangular block of <m|D(beta)|n> for complex beta.
 
@@ -176,7 +158,7 @@ def displacement_matrix(beta, n_rows, n_cols):
     """
     beta = complex(beta)
     x = abs(beta)
-    f = displacement_amplitudes(x, n_rows, n_cols).astype(complex)
+    f = displacement_amplitudes_batch([x], n_rows, n_cols)[0].astype(complex)
     if beta != x:  # anything but a nonnegative real displacement
         phase = beta / x
         f *= phase ** (np.arange(n_rows)[:, None] - np.arange(n_cols)[None, :])
@@ -184,15 +166,14 @@ def displacement_matrix(beta, n_rows, n_cols):
 
 
 def displaced_support(n_top, beta_abs, tol=1e-13):
-    """Row count K so that D(beta)|n> for n <= n_top keeps all but ``tol``
-    of its norm on Fock components below K.
+    """The real (n_top + 1, K) table <m|D(|beta|)|k>, with K the row count
+    so that D(beta)|m> for m <= n_top keeps all but ``tol`` of its norm on
+    Fock components below K.
 
     Probes grow K by 16 rows.  Once a probe no longer reduces the largest
     deficit, the deficit is the kernel's rounding floor and the rows before
-    that probe are accepted.  The accepted (n_top + 1, K) table is kept,
-    read-only, for ``displacement_amplitudes``.
+    that probe are accepted.
     """
-    global _support_table
     x = float(abs(beta_abs))
     k = int(np.ceil((np.sqrt(n_top + 1.0) + x) ** 2 + 8.0 * (x + 1.0) + 8.0))
     limit = n_top + 4096
@@ -209,9 +190,7 @@ def displaced_support(n_top, beta_abs, tol=1e-13):
         k += 16
     else:
         raise TruncationError("displaced support search did not converge")
-    f.setflags(write=False)
-    _support_table = (x, n_top + 1, k, f)
-    return k
+    return f
 
 
 def spin_rotation(theta, phi):

@@ -199,7 +199,8 @@ def estimate_marginals(records):
     Rejects, with a ValueError naming the phase index, records that mix
     settings or seeds, miss a phase, carry counts_up and counts_down of
     unequal length or negative counts, or whose counts plus overflow differ
-    from total_events.
+    from total_events; and records with total_events < 1, which estimate
+    nothing.
     """
     if not records:
         raise ValueError("no records given")
@@ -225,6 +226,8 @@ def estimate_marginals(records):
     if seen != list(range(first.n_phases)):
         missing = sorted(set(range(first.n_phases)) - set(seen))
         raise ValueError(f"incomplete phase coverage; missing phase indices {missing[:8]}")
+    if first.total_events < 1:
+        raise ValueError(f"total_events = {first.total_events}; a phase needs at least 1 event")
     # cells[s, j] holds the counts of spin outcome s at phase j, then its overflow
     cells = np.empty((2, first.n_phases, win + 1), dtype=np.int64)
     for rec in records:

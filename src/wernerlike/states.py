@@ -313,20 +313,3 @@ def write_metrics_csv(path, table, comments=()):
         writer.writerow(METRIC_COLUMNS)
         for row in np.asarray(table):
             writer.writerow([f"{v:.17g}" for v in row])
-
-
-def read_metrics_csv(path):
-    """Parse a file written by write_metrics_csv; returns (table, comments)."""
-    comments, rows = [], []
-    with open(path, newline="") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                comments.append(line[1:].strip())
-            else:
-                rows.append(line.strip())
-    reader = csv.reader(rows)
-    header = tuple(next(reader))
-    if header != METRIC_COLUMNS:
-        raise ValueError(f"unexpected header {header}")
-    table = np.array([[float(v) for v in row] for row in reader])
-    return table, comments

@@ -52,8 +52,7 @@ from .fock import (
     SPIN_UP,
     _log_factorials,
     displaced_support,
-    displacement_amplitudes,
-    displacement_matrix,
+    displacement_amplitudes_batch,
     spin_rotation,
 )
 from .states import HybridState
@@ -67,7 +66,6 @@ __all__ = [
     "HybridEstimate",
     "spin_projector",
     "collapse_spin",
-    "marginal_w",
     "order_operator",
     "ideal_marginal_tables",
     "smeared_marginal_tables",
@@ -194,38 +192,16 @@ def collapse_spin(state, projector):
     )
 
 
-def marginal_w(state, spin_outcome, n, theta, phi_spin, beta):
-    """Single ideal marginal probability via the rank-1 projector route.
-
-    Any count index n >= 0 is allowed: <k|D(beta)|n> for k < state dim is
-    defined for every n.
-    """
-    if n < 0:
-        raise ValueError("count index n must be nonnegative")
-    chi_spin = spin_rotation(theta, phi_spin)[:, spin_outcome]
-    chi_osc = displacement_matrix(beta, state.dim, n + 1)[:, n]
-    w = 0.0j
-    for s in (SPIN_DOWN, SPIN_UP):
-        for sp in (SPIN_DOWN, SPIN_UP):
-            w += (
-                np.conj(chi_spin[s])
-                * chi_spin[sp]
-                * (chi_osc.conj() @ state.block(s, sp) @ chi_osc)
-            )
-    return float(w.real)
-
-
 def order_operator(f, r):
     """Order-r system matrix G^(r)_nm = f_(m+r)n f_mn, shape (rows, cdim - r),
     of the real (cdim, rows) amplitude table f_kn = <k|D(|b|)|n>."""
     return (f[r:] * f[: len(f) - r]).T
 
 
-def ideal_marginal_tables(state, settings, rows=None):
-    """Ideal (eta = 1) marginals w[s, j, n] for n < rows, summed over Fourier orders."""
-    if rows is None:
-        rows = displaced_support(state.dim - 1, settings.beta_abs)
-    f = displacement_amplitudes(settings.beta_abs, state.dim, rows)
+def ideal_marginal_tables(state, settings, f):
+    """Ideal (eta = 1) marginals w[s, j, n] for n < rows, summed over Fourier
+    orders, from the real (state.dim, rows) table f_kn = <k|D(|beta|)|n>."""
+    rows = f.shape[1]
     rho_q = [
         collapse_spin(state, spin_projector(settings.theta, settings.phi_spin, s))
         for s in (SPIN_DOWN, SPIN_UP)
@@ -246,9 +222,9 @@ def smeared_marginal_tables(state, settings):
     Returns (window, overflow): window[s, j, n] for n <= n_max after binomial
     smearing with eta, overflow[s, j] the detected mass beyond n_max.
     """
-    rows = displaced_support(state.dim - 1, settings.beta_abs)
-    wide = ideal_marginal_tables(state, settings, rows)
-    return detected_window(wide, binomial_matrix(settings.eta, settings.n_max + 1, rows))
+    f = displaced_support(state.dim - 1, settings.beta_abs)
+    wide = ideal_marginal_tables(state, settings, f)
+    return detected_window(wide, binomial_matrix(settings.eta, settings.n_max + 1, f.shape[1]))
 
 
 def exact_marginal_data(state, settings):
@@ -317,13 +293,16 @@ def inversion_systems(settings):
     """Per-order folded systems for the given settings (cached).
 
     The system is B(eta) G^(r) evaluated on an extended ideal-count range, so
-    the detected-count rows are exact.  Singular values below SINGULAR_FLOOR
-    are truncated; the per-order diagnostics record how many.
+    the detected-count rows are exact: the columns of the table
+    ``displaced_support`` returns, or 0..n_max when that range is wider.
+    Singular values below SINGULAR_FLOOR are truncated; the per-order
+    diagnostics record how many.
     """
     cdim = settings.n_cutoff + 1
-    kext = max(displaced_support(settings.n_cutoff, settings.beta_abs), settings.n_max + 1)
-    f = displacement_amplitudes(settings.beta_abs, cdim, kext)
-    b = binomial_matrix(settings.eta, settings.n_max + 1, kext)
+    f = displaced_support(settings.n_cutoff, settings.beta_abs)
+    if f.shape[1] <= settings.n_max:
+        f = displacement_amplitudes_batch([settings.beta_abs], cdim, settings.n_max + 1)[0]
+    b = binomial_matrix(settings.eta, settings.n_max + 1, f.shape[1])
     systems = []
     for r in range(cdim):
         g = b @ order_operator(f, r)
@@ -564,38 +543,57 @@ def write_estimate_json(path, estimate, extra=None):
         fh.write(json.dumps(payload))
 
 
+def _entry(payload, key, convert):
+    """convert(payload[k1][k2]...) for the dotted ``key``; a ValueError naming
+    the key when it is missing, sits under a non-object, or fails to convert."""
+    obj = payload
+    for part in key.split("."):
+        if not isinstance(obj, dict) or part not in obj:
+            raise ValueError(f"missing key '{key}'")
+        obj = obj[part]
+    try:
+        return convert(obj)
+    except (IndexError, TypeError, ValueError):
+        raise ValueError(f"malformed key '{key}': {obj!r:.40}") from None
+
+
+def _complex_pairs(value):
+    # parts assigned, not re + 1j*im, which turns a -0.0 imaginary part into +0.0
+    pairs = np.asarray(value, dtype=float)
+    values = np.empty(pairs.shape[:-1], dtype=complex)
+    values.real, values.imag = pairs[..., 0], pairs[..., 1]
+    return values
+
+
+def _float_array(value):
+    return np.asarray(value, dtype=float)
+
+
 def load_estimate_json(path):
-    """(HybridEstimate, payload) from a file written by write_estimate_json."""
+    """(HybridEstimate, payload) from a file written by write_estimate_json.
+
+    A missing or malformed key raises a ValueError naming it.
+    """
     with open(path) as fh:
         payload = json.load(fh)
-    s = payload["settings"]
     settings = TomographySettings(
         theta=0.0,
         phi_spin=0.0,
-        beta_abs=float(s["beta_abs"]),
-        n_phases=int(s["n_phases"]),
-        n_max=int(s["n_max"]),
-        n_cutoff=int(s["n_cutoff"]),
-        eta=float(s["eta"]),
+        beta_abs=_entry(payload, "settings.beta_abs", float),
+        n_phases=_entry(payload, "settings.n_phases", int),
+        n_max=_entry(payload, "settings.n_max", int),
+        n_cutoff=_entry(payload, "settings.n_cutoff", int),
+        eta=_entry(payload, "settings.eta", float),
     )
-    orders = tuple(payload.get("orders", ()))
+    orders = _entry(payload, "orders", tuple) if "orders" in payload else ()
 
-    def block(obj):
-        # parts assigned, not re + 1j*im, which turns a -0.0 imaginary part
-        # into +0.0
-        pairs = np.asarray(obj["values"], dtype=float)
-        values = np.empty(pairs.shape[:-1], dtype=complex)
-        values.real, values.imag = pairs[..., 0], pairs[..., 1]
+    def block(name):
         return BlockEstimate(
-            values=values,
-            sigma_re=np.asarray(obj["sigma_re"], dtype=float),
-            sigma_im=np.asarray(obj["sigma_im"], dtype=float),
+            values=_entry(payload, f"blocks.{name}.values", _complex_pairs),
+            sigma_re=_entry(payload, f"blocks.{name}.sigma_re", _float_array),
+            sigma_im=_entry(payload, f"blocks.{name}.sigma_im", _float_array),
             orders=orders,
         )
 
-    blocks = payload["blocks"]
-    estimate = HybridEstimate(
-        uu=block(blocks["uu"]), dd=block(blocks["dd"]), ud=block(blocks["ud"]),
-        settings=settings,
-    )
+    estimate = HybridEstimate(uu=block("uu"), dd=block("dd"), ud=block("ud"), settings=settings)
     return estimate, payload

@@ -173,7 +173,7 @@ def simulate_trap_acquisition(alpha, settings, events_per_phase, seed, dim=32,
     tables with the component weights.
     """
     amps = np.stack([component_state(lbl, alpha, dim).amplitudes for lbl in COMPONENT_LABELS])
-    rows = displaced_support(dim - 1, settings.beta_abs)
+    rows = displaced_support(dim - 1, settings.beta_abs).shape[1]
     smear = binomial_matrix(settings.eta, settings.n_max + 1, rows)
     u_inv = spin_rotation(-settings.theta, settings.phi_spin)
     # moved[j, c] = u_inv @ amps[c] @ D(beta_j)^T, stacked over the per-matrix

@@ -28,7 +28,6 @@ import numpy as np
 from .fock import displacement_amplitudes_batch
 
 __all__ = [
-    "wigner_point",
     "default_axes",
     "wigner_grid",
     "WignerGrid",
@@ -37,12 +36,6 @@ __all__ = [
 ]
 
 BLOCK_NAMES = ("uu", "ud", "du", "dd")
-
-
-def wigner_point(block, gamma):
-    """W(gamma) for a single oscillator-space block (complex in general)."""
-    grid = wigner_grid({"w": block}, [np.real(gamma)], [np.imag(gamma)])
-    return complex(grid.blocks["w"][0, 0])
 
 
 def default_axes(alpha, re_pad=3.0, spacing=0.1, im_extent=3.0):

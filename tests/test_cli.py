@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_states import read_metrics_csv
 from wernerlike import cli, states
 from wernerlike.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, RunConfig
 
@@ -86,7 +87,7 @@ class TestMetrics:
     def test_threshold_row_and_round_trip(self, tmp_path, config_path):
         out = tmp_path / "m"
         assert run_cli("--config", config_path, "--out", out, "metrics", "--steps", 13) == EXIT_OK
-        table, comments = states.read_metrics_csv(out / "metrics.csv")
+        table, comments = read_metrics_csv(out / "metrics.csv")
         assert any(c.startswith("config_hash=") for c in comments)
         alpha_star = json.loads((out / "metrics_meta.json").read_text())[
             "fidelity_threshold_alpha"
@@ -97,7 +98,7 @@ class TestMetrics:
         assert zero_row[3] == 0.0
         # file parses back with identical values
         states.write_metrics_csv(out / "again.csv", table)
-        back, _ = states.read_metrics_csv(out / "again.csv")
+        back, _ = read_metrics_csv(out / "again.csv")
         np.testing.assert_array_equal(back, table)
 
 
@@ -224,6 +225,23 @@ class TestSimulateReconstruct:
         assert "Traceback" not in err
         assert not (out / "reconstruction.json").exists()
 
+    def test_zero_event_records_rejected(self, tmp_path, config_path, capsys):
+        # consistent records of no events estimate nothing: w = 0/0
+        out = tmp_path / "run"
+        run_cli("--config", config_path, "--out", out, "simulate")
+        path = out / "records_g0.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for rec in records:
+            rec.update(total_events=0, overflow_up=0, overflow_down=0,
+                       counts_up=[0] * len(rec["counts_up"]),
+                       counts_down=[0] * len(rec["counts_down"]))
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        capsys.readouterr()
+        assert run_cli("--config", config_path, "--out", out, "reconstruct") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "records_g0.jsonl" in err and "total_events" in err
+        assert not (out / "reconstruction.json").exists()
+
     def test_truth_smaller_than_the_estimate(self, tmp_path):
         # cutoff 14 < n_cutoff + 1 = 32: the truth is zero past its cutoff
         path = tmp_path / "run.cfg"
@@ -289,6 +307,47 @@ def test_support_at_the_rounding_floor_simulates(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("cutoff = 61\nn_max = 60\nn_cutoff = 60\nn_phases = 128\nbeta_abs = 0.1\n")
     assert run_cli("--config", path, "--out", tmp_path / "run", "simulate") == EXIT_OK
+
+
+def _edit_reconstruction(edit):
+    def corrupt(out):
+        path = out / "reconstruction.json"
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt, command, name",
+    [
+        (_edit_reconstruction(lambda p: p["settings"].pop("eta")),
+         ("wigner", "--source", "recon"), "reconstruction.json"),
+        (_edit_reconstruction(lambda p: p.update(orders=5)),
+         ("wigner", "--source", "recon"), "reconstruction.json"),
+        (lambda out: (out / "manifest.json").write_text("[1, 2]"), ("reconstruct",),
+         "manifest.json"),
+        (lambda out: (out / "manifest.json").write_text("[1, 2]"), ("verify",),
+         "manifest.json"),
+        (lambda out: (out / "extra.json").write_text("7"), ("verify",), "extra.json"),
+        (lambda out: (out / "manifest.json").write_text('{"config_text": 3}'), ("verify",),
+         "manifest.json"),
+        (lambda out: (out / "manifest.json").write_text('{"files": [1]}'), ("verify",),
+         "manifest.json"),
+    ],
+    ids=["recon-without-eta", "recon-number-orders", "list-manifest-reconstruct", "list-manifest-verify",
+         "bare-number-json", "number-config-text", "number-file-entry"],
+)
+def test_malformed_json_input_rejected(tmp_path, config_path, capsys, corrupt, command, name):
+    out = tmp_path / "run"
+    run_cli("--config", config_path, "--out", out, "simulate")
+    run_cli("--config", config_path, "--out", out, "reconstruct", "--exact")
+    corrupt(out)
+    capsys.readouterr()
+    assert run_cli("--config", config_path, "--out", out, *command) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert name in err and "Traceback" not in err
 
 
 class TestManifestCheck:

@@ -87,6 +87,7 @@ def count_kernel_calls(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(fock, "displacement_amplitudes_batch", counted)
+    monkeypatch.setattr(tomography, "displacement_amplitudes_batch", counted)
     return calls
 
 
@@ -231,7 +232,7 @@ class TestDisplacementOperator:
                         * mpmath.laguerre(k, d, y)
                     )
                     ref[m, n] = float(val) * (-1.0) ** d if m < n else float(val)
-        f = fock.displacement_amplitudes(x, dim, dim)
+        f = fock.displacement_amplitudes_batch([x], dim, dim)[0]
         assert np.max(np.abs(f - ref)) < 1e-13
 
     @pytest.mark.parametrize(
@@ -256,8 +257,8 @@ class TestDisplacementOperator:
         assert np.array_equal(got, amplitudes_per_diagonal(xs, n_rows, n_cols))
 
     def test_displaced_support_is_sufficient(self):
-        k = fock.displaced_support(8, 2.0)
-        f = fock.displacement_amplitudes(2.0, k, 9)
+        k = fock.displaced_support(8, 2.0).shape[1]
+        f = fock.displacement_amplitudes_batch([2.0], k, 9)[0]
         assert 1.0 - np.min(np.sum(f * f, axis=0)) < 1e-12
 
 
@@ -265,12 +266,13 @@ class TestDisplacedSupport:
     def test_support_matches_the_axis0_search(self):
         for n_top in range(40):
             for beta_abs in np.round(np.arange(0.1, 3.01, 0.1), 10):
-                assert fock.displaced_support(n_top, beta_abs) == support_axis0(n_top, beta_abs)
+                k = fock.displaced_support(n_top, beta_abs).shape[1]
+                assert k == support_axis0(n_top, beta_abs)
 
     @pytest.mark.parametrize("n_top, expected", [(60, 80), (80, 100)])
     def test_search_stops_at_the_rounding_floor(self, monkeypatch, n_top, expected):
         calls = count_kernel_calls(monkeypatch)
-        k = fock.displaced_support(n_top, 0.1)
+        k = fock.displaced_support(n_top, 0.1).shape[1]
         assert k == expected and len(calls) <= 2
         # the largest deficit sits at the same rounding floor above tol = 1e-13
         # however many rows are added
@@ -281,25 +283,33 @@ class TestDisplacedSupport:
         ]
         assert 1e-13 < min(deficits) and max(deficits) < 1e-12
 
-    def test_search_table_is_handed_out_read_only(self):
-        k = fock.displaced_support(31, 0.6)
-        f = fock.displacement_amplitudes(0.6, 32, k)
-        assert np.array_equal(f, amplitudes_per_diagonal([0.6], 32, k)[0])
-        assert not f.flags.writeable
-        with pytest.raises(ValueError):
-            f[0, 0] = 0.0
-        assert fock.displacement_amplitudes(0.6, 32, k - 1).flags.writeable
+    def test_search_returns_the_accepted_table(self):
+        f = fock.displaced_support(31, 0.6)
+        assert np.array_equal(f, amplitudes_per_diagonal([0.6], 32, support_axis0(31, 0.6))[0])
 
     def test_forward_model_and_inversion_reuse_the_search_table(self, monkeypatch):
         config = cli.RunConfig()
         state, settings = config.truth_state(), config.settings()
         calls = count_kernel_calls(monkeypatch)
-        rows = fock.displaced_support(state.dim - 1, settings.beta_abs)
-        tomography.ideal_marginal_tables(state, settings, rows)
-        assert calls == [(state.dim, rows)]
+        f = fock.displaced_support(state.dim - 1, settings.beta_abs)
+        tomography.ideal_marginal_tables(state, settings, f)
+        assert calls == [(state.dim, f.shape[1])]
+        del calls[:]
+        tomography.smeared_marginal_tables(state, settings)
+        assert calls == [(state.dim, f.shape[1])]
         del calls[:]
         tomography.inversion_systems.__wrapped__(settings)
         assert len(calls) == 1
+
+    def test_inversion_builds_a_window_wider_than_the_support(self, monkeypatch):
+        # K = 28 <= n_max = 31: one more kernel call spans the measured window
+        settings = tomography.TomographySettings(
+            theta=0.0, phi_spin=0.0, beta_abs=0.3, n_phases=14, n_max=31, n_cutoff=6,
+        )
+        calls = count_kernel_calls(monkeypatch)
+        systems = tomography.inversion_systems.__wrapped__(settings)
+        assert calls == [(7, 28), (7, 32)]
+        assert systems[0].m.shape == (7, 32)
 
 
 class TestSpinRotation:

@@ -1,7 +1,26 @@
+import csv
+
 import numpy as np
 import pytest
 
 from wernerlike import fock, states
+
+
+def read_metrics_csv(path):
+    """Parse a file written by write_metrics_csv; returns (table, comments)."""
+    comments, rows = [], []
+    with open(path, newline="") as fh:
+        for line in fh:
+            if line.startswith("#"):
+                comments.append(line[1:].strip())
+            else:
+                rows.append(line.strip())
+    reader = csv.reader(rows)
+    header = tuple(next(reader))
+    if header != states.METRIC_COLUMNS:
+        raise ValueError(f"unexpected header {header}")
+    table = np.array([[float(v) for v in row] for row in reader])
+    return table, comments
 
 # entropy anchors from the closed-form spectra
 S_WERNER = -(5 / 8) * np.log2(5 / 8) - 3 * (1 / 8) * np.log2(1 / 8)
@@ -357,6 +376,6 @@ class TestMetricSweep:
         table = states.metric_sweep(0.0, 2.0, 9)
         path = tmp_path / "metrics.csv"
         states.write_metrics_csv(path, table, comments=["config_hash=abc"])
-        back, comments = states.read_metrics_csv(path)
+        back, comments = read_metrics_csv(path)
         np.testing.assert_array_equal(back, table)
         assert comments == ["config_hash=abc"]

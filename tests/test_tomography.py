@@ -32,7 +32,29 @@ def random_hybrid(rng, dim):
 
 def order_operator(r, beta_abs, cdim):
     """G^(r) with a measured window of cdim counts (n_max = n_cutoff)."""
-    return tg.order_operator(fock.displacement_amplitudes(beta_abs, cdim, cdim), r)
+    return tg.order_operator(fock.displacement_amplitudes_batch([beta_abs], cdim, cdim)[0], r)
+
+
+def marginal_w(state, spin_outcome, n, theta, phi_spin, beta):
+    """Reference: a single ideal marginal probability by the rank-1
+    projector route, independent of the per-order tables.
+
+    Any count index n >= 0 is allowed: <k|D(beta)|n> for k < state dim is
+    defined for every n.
+    """
+    if n < 0:
+        raise ValueError("count index n must be nonnegative")
+    chi_spin = fock.spin_rotation(theta, phi_spin)[:, spin_outcome]
+    chi_osc = fock.displacement_matrix(beta, state.dim, n + 1)[:, n]
+    w = 0.0j
+    for s in (fock.SPIN_DOWN, fock.SPIN_UP):
+        for sp in (fock.SPIN_DOWN, fock.SPIN_UP):
+            w += (
+                np.conj(chi_spin[s])
+                * chi_spin[sp]
+                * (chi_osc.conj() @ state.block(s, sp) @ chi_osc)
+            )
+    return float(w.real)
 
 
 def exact_datas(state, base):
@@ -82,14 +104,14 @@ class TestSettings:
 class TestMarginal:
     def test_completeness(self, hybrid07):
         total = sum(
-            tg.marginal_w(hybrid07, s, n, 0.4, -1.1, 0.3 + 0.2j)
+            marginal_w(hybrid07, s, n, 0.4, -1.1, 0.3 + 0.2j)
             for s in (fock.SPIN_DOWN, fock.SPIN_UP)
             for n in range(32)
         )
         assert abs(total - 1.0) < 1e-8
 
     def test_vacuum_projection_value(self, hybrid07):
-        w = tg.marginal_w(hybrid07, fock.SPIN_UP, 0, 0.0, 0.0, 0.0)
+        w = marginal_w(hybrid07, fock.SPIN_UP, 0, 0.0, 0.0, 0.0)
         assert abs(w - 0.5 * np.exp(-0.49)) < 1e-12
         assert abs(w - 0.306313) < 1e-6
 
@@ -100,17 +122,18 @@ class TestMarginal:
         rho_q = tg.collapse_spin(hybrid07, tg.spin_projector(theta, phi, fock.SPIN_UP))
         col = fock.displacement_matrix(beta, 32, 6)[:, 5]
         expected = (col.conj() @ rho_q @ col).real
-        got = tg.marginal_w(hybrid07, fock.SPIN_UP, 5, theta, phi, beta)
+        got = marginal_w(hybrid07, fock.SPIN_UP, 5, theta, phi, beta)
         assert abs(got - expected) < 1e-10
 
     def test_matches_batched_tables(self, hybrid07):
         base = settings_full()
-        tables = tg.ideal_marginal_tables(hybrid07, base, rows=20)
+        f = fock.displacement_amplitudes_batch([base.beta_abs], hybrid07.dim, 20)[0]
+        tables = tg.ideal_marginal_tables(hybrid07, base, f)
         j = 11
         beta = 0.6 * np.exp(1j * base.phases[j])
         for s in (fock.SPIN_DOWN, fock.SPIN_UP):
             for n in (0, 3, 9):
-                direct = tg.marginal_w(hybrid07, s, n, base.theta, base.phi_spin, beta)
+                direct = marginal_w(hybrid07, s, n, base.theta, base.phi_spin, beta)
                 assert abs(tables[s, j, n] - direct) < 1e-12
 
     @pytest.mark.parametrize("group", range(3))
@@ -118,9 +141,10 @@ class TestMarginal:
         # every phase, both spins, counts up to the displaced support; the
         # state is zero-padded so marginal_w accepts counts past its dim
         settings = settings_full().with_angles(*tg.standard_setting_angles()[group])
-        rows = fock.displaced_support(31, 0.6)
+        f = fock.displaced_support(31, 0.6)
+        rows = f.shape[1]
         assert rows == 60
-        tables = tg.ideal_marginal_tables(hybrid07, settings, rows=rows)
+        tables = tg.ideal_marginal_tables(hybrid07, settings, f)
         pad = [(0, rows - 32), (0, rows - 32)]
         wide = states.HybridState(
             **{name: np.pad(getattr(hybrid07, name), pad) for name in ("uu", "ud", "du", "dd")}
@@ -129,7 +153,7 @@ class TestMarginal:
             beta = 0.6 * np.exp(1j * phase)
             for s in (fock.SPIN_DOWN, fock.SPIN_UP):
                 for n in (0, 1, 31, 59):
-                    direct = tg.marginal_w(wide, s, n, settings.theta, settings.phi_spin, beta)
+                    direct = marginal_w(wide, s, n, settings.theta, settings.phi_spin, beta)
                     assert abs(tables[s, j, n] - direct) < 1e-14
 
     @pytest.mark.parametrize("eta", [1.0, 0.9])
@@ -145,17 +169,18 @@ class TestMarginal:
     def test_counts_past_the_state_dim(self, hybrid07, group):
         # the overflow counts n >= dim, without zero-padding the state
         settings = settings_full().with_angles(*tg.standard_setting_angles()[group])
-        tables = tg.ideal_marginal_tables(hybrid07, settings, rows=60)
+        f = fock.displacement_amplitudes_batch([settings.beta_abs], hybrid07.dim, 60)[0]
+        tables = tg.ideal_marginal_tables(hybrid07, settings, f)
         for j, phase in enumerate(settings.phases):
             beta = 0.6 * np.exp(1j * phase)
             for s in (fock.SPIN_DOWN, fock.SPIN_UP):
                 for n in (32, 45, 59):
-                    direct = tg.marginal_w(hybrid07, s, n, settings.theta, settings.phi_spin, beta)
+                    direct = marginal_w(hybrid07, s, n, settings.theta, settings.phi_spin, beta)
                     assert abs(tables[s, j, n] - direct) < 1e-14
 
     def test_count_range_guard(self, hybrid07):
         with pytest.raises(ValueError):
-            tg.marginal_w(hybrid07, fock.SPIN_UP, -1, 0.0, 0.0, 0.1)
+            marginal_w(hybrid07, fock.SPIN_UP, -1, 0.0, 0.0, 0.1)
 
 
 class TestFourier:
@@ -211,8 +236,9 @@ class TestEfficiencySmear:
 
 def folded_operator(settings, r):
     """B(eta) G^(r) on the extended count range, as inversion_systems forms it."""
-    kext = max(fock.displaced_support(settings.n_cutoff, settings.beta_abs), settings.n_max + 1)
-    f = fock.displacement_amplitudes(settings.beta_abs, settings.n_cutoff + 1, kext)
+    k = fock.displaced_support(settings.n_cutoff, settings.beta_abs).shape[1]
+    kext = max(k, settings.n_max + 1)
+    f = fock.displacement_amplitudes_batch([settings.beta_abs], settings.n_cutoff + 1, kext)[0]
     return tg.binomial_matrix(settings.eta, settings.n_max + 1, kext) @ tg.order_operator(f, r)
 
 
@@ -251,7 +277,7 @@ def unfolded_systems(settings):
     """Reference: the former eta = 1 branch of inversion_systems, G^(r) on the
     measured window alone with no binomial fold."""
     cdim = settings.n_cutoff + 1
-    f = fock.displacement_amplitudes(settings.beta_abs, cdim, settings.n_max + 1)
+    f = fock.displacement_amplitudes_batch([settings.beta_abs], cdim, settings.n_max + 1)[0]
     systems = []
     for r in range(cdim):
         g = tg.order_operator(f, r)
@@ -272,11 +298,17 @@ def unfolded_systems(settings):
 class TestUnitEfficiencyFold:
     """At eta = 1 the binomial fold is the identity block and changes no bit."""
 
-    @pytest.mark.parametrize("n_cutoff, beta_abs", [(31, 0.6), (6, 1.1), (20, 0.33)])
-    def test_inversion_systems_match_unfolded_path(self, n_cutoff, beta_abs):
+    # (6, 0.3) measures counts 0..31 past its support K = 28, so the
+    # inversion builds its window table with a second kernel call
+    @pytest.mark.parametrize(
+        "n_cutoff, beta_abs, n_max",
+        [(31, 0.6, 31), (6, 1.1, 6), (20, 0.33, 20), (6, 0.3, 31)],
+        ids=["31-0.6", "6-1.1", "20-0.33", "6-0.3"],
+    )
+    def test_inversion_systems_match_unfolded_path(self, n_cutoff, beta_abs, n_max):
         settings = tg.TomographySettings(
             theta=0.0, phi_spin=0.0, beta_abs=beta_abs,
-            n_phases=2 * n_cutoff + 2, n_max=n_cutoff, n_cutoff=n_cutoff,
+            n_phases=2 * n_cutoff + 2, n_max=n_max, n_cutoff=n_cutoff,
         )
         got = tg.inversion_systems(settings)
         ref = unfolded_systems(settings)

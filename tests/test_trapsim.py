@@ -184,7 +184,7 @@ class TestTrapAcquisition:
             n_phases=96, n_max=31, n_cutoff=31, eta=0.9,
         ).with_angles(*angles)
         dim = 32
-        rows = fock.displaced_support(dim - 1, settings.beta_abs)
+        rows = fock.displaced_support(dim - 1, settings.beta_abs).shape[1]
         tables = ts._phase_displacements(settings, rows, dim)
         assert tables.shape == (96, rows, dim)
         for j, phase in enumerate(settings.phases):
