@@ -382,14 +382,19 @@ def cmd_verify(config, args):
         if rehash != manifest.get("config_hash"):
             problems.append("manifest config_hash does not match its config_text")
         expected = manifest.get("config_hash")
-        for entry in files:
-            if "sha256" not in entry:
-                continue
+        # only the run's own record files are hashed, each listed once
+        names = [_record_path(outdir, i).name for i in range(3)]
+        listed = [entry.get("path") for entry in files]
+        for name in names:
+            if listed.count(name) != 1:
+                problems.append(f"{name}: listed {listed.count(name)} times in the manifest")
+        for entry, name in zip(files, listed):
             checked += 1
-            name = entry.get("path")
-            if not isinstance(name, str) or not (outdir / name).is_file():
+            if not isinstance(name, str) or name in names and not (outdir / name).is_file():
                 problems.append(f"{name}: missing, listed in the manifest")
-            elif _sha256(outdir / name) != entry["sha256"]:
+            elif name not in names:
+                problems.append(f"{name}: not a record file of this run, listed in the manifest")
+            elif _sha256(outdir / name) != entry.get("sha256"):
                 problems.append(f"{name}: sha256 differs from the manifest's")
     else:
         expected = config.config_hash()

@@ -7,6 +7,21 @@ overflow bin per spin outcome; overflow is recorded and excluded from the
 inversion.  Cell variances follow the independent-Poissonian approximation
 var[w_est] = w_est / events (the multinomial correction is negligible at the
 rates used here and zero-count cells get zero variance).
+
+A record is one JSON line, in this key order and with ", " and ": " as
+separators:
+
+    {"setting": {"theta": ., "phi_spin": ., "beta_abs": .}, "phase_index": .,
+     "n_phases": ., "total_events": ., "seed": ., "counts_up": [...],
+     "counts_down": [...], "overflow_up": ., "overflow_down": .}
+
+``MeasurementRecord.to_json`` fills one fixed template instead of calling
+``json.dumps`` on a dict, and must give the same bytes: a float field is
+written by ``float.__repr__`` (so numpy's float64 writes as a plain number),
+an int field by ``int.__repr__``, anything else by ``json.dumps``; a count
+list is ``str`` of its integer array's ``tolist()``, and an overflow its
+``int()``.  Record files are pinned byte for byte, so a change here is a
+format change.
 """
 
 import json
@@ -46,22 +61,18 @@ class MeasurementRecord:
     overflow_down: int = 0
 
     def to_json(self):
-        return json.dumps(
-            {
-                "setting": {
-                    "theta": self.theta,
-                    "phi_spin": self.phi_spin,
-                    "beta_abs": self.beta_abs,
-                },
-                "phase_index": self.phase_index,
-                "n_phases": self.n_phases,
-                "total_events": self.total_events,
-                "seed": self.seed,
-                "counts_up": [int(c) for c in self.counts_up],
-                "counts_down": [int(c) for c in self.counts_down],
-                "overflow_up": int(self.overflow_up),
-                "overflow_down": int(self.overflow_down),
-            }
+        return _RECORD_LINE % (
+            _json_scalar(self.theta),
+            _json_scalar(self.phi_spin),
+            _json_scalar(self.beta_abs),
+            _json_scalar(self.phase_index),
+            _json_scalar(self.n_phases),
+            _json_scalar(self.total_events),
+            _json_scalar(self.seed),
+            np.asarray(self.counts_up).tolist(),
+            np.asarray(self.counts_down).tolist(),
+            int(self.overflow_up),
+            int(self.overflow_down),
         )
 
     @classmethod
@@ -75,18 +86,26 @@ class MeasurementRecord:
             raise ValueError(f"a record must be a JSON object, not {type(obj).__name__}")
         setting = _field(obj, "setting", dict)
         return cls(
-            theta=_field(setting, "theta", _number, "setting."),
-            phi_spin=_field(setting, "phi_spin", _number, "setting."),
-            beta_abs=_field(setting, "beta_abs", _number, "setting."),
-            phase_index=_field(obj, "phase_index", _integer),
-            n_phases=_field(obj, "n_phases", _integer),
-            total_events=_field(obj, "total_events", _integer),
-            seed=_field(obj, "seed", _integer),
-            counts_up=_field(obj, "counts_up", _count_list),
-            counts_down=_field(obj, "counts_down", _count_list),
-            overflow_up=_field(obj, "overflow_up", _integer),
-            overflow_down=_field(obj, "overflow_down", _integer),
+            *[_field(setting, name, _number, "setting.") for name in _SETTING_FIELDS],
+            *[_field(obj, name, convert) for name, convert in _RECORD_FIELDS],
         )
+
+
+_RECORD_LINE = (
+    '{"setting": {"theta": %s, "phi_spin": %s, "beta_abs": %s}, "phase_index": %s,'
+    ' "n_phases": %s, "total_events": %s, "seed": %s, "counts_up": %s, "counts_down": %s,'
+    ' "overflow_up": %d, "overflow_down": %d}'
+)
+
+
+def _json_scalar(value):
+    # json.dumps(value) without its dispatch for the two types records hold;
+    # it writes NaN and Infinity, which float.__repr__ does not
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
 
 
 def _field(obj, name, convert, prefix=""):
@@ -116,6 +135,20 @@ def _count_list(value):
     if type(value) is not list or not set(map(type, value)) <= {int}:
         raise ValueError("not a list of integer counts")
     return np.array(value, dtype=np.int64)
+
+
+#: the fields inside ``setting``, then the others, in MeasurementRecord's order
+_SETTING_FIELDS = ("theta", "phi_spin", "beta_abs")
+_RECORD_FIELDS = (
+    ("phase_index", _integer),
+    ("n_phases", _integer),
+    ("total_events", _integer),
+    ("seed", _integer),
+    ("counts_up", _count_list),
+    ("counts_down", _count_list),
+    ("overflow_up", _integer),
+    ("overflow_down", _integer),
+)
 
 
 def phase_generator(seed, setting_index, phase_index):
@@ -175,21 +208,23 @@ def simulate_acquisition(state, settings, events_per_phase, seed, setting_index=
 
 
 def write_records(path, records):
+    """One record line per record, written in one call."""
+    text = "".join([f"{rec.to_json()}\n" for rec in records])
     with open(path, "w") as fh:
-        for rec in records:
-            fh.write(rec.to_json() + "\n")
+        fh.write(text)
 
 
 def read_records(path):
     """Records of a JSON-lines file; a bad line raises a ValueError naming its number."""
-    records = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    records.append(MeasurementRecord.from_json(line))
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from None
+        lines = fh.readlines()
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                records.append(MeasurementRecord.from_json(line))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     return records
 
 

@@ -87,13 +87,23 @@ class HybridState:
     """Spin (x) truncated-oscillator density operator stored blockwise.
 
     Blocks are <s| rho |s'> as (dim, dim) arrays; ``du`` must equal the
-    conjugate transpose of ``ud``.  Arrays are treated as immutable.
+    conjugate transpose of ``ud``.  The state holds read-only copies of the
+    blocks it is given.  ``tomography.smeared_marginal_tables`` memoizes its
+    tables per state object (equality and hashing are by identity), so
+    neither a write through the state, which raises, nor a write into an
+    array passed in can leave a stale entry.
     """
 
     uu: np.ndarray
     ud: np.ndarray
     du: np.ndarray
     dd: np.ndarray
+
+    def __post_init__(self):
+        for name in ("uu", "ud", "du", "dd"):
+            block = np.array(getattr(self, name))
+            block.setflags(write=False)
+            object.__setattr__(self, name, block)
 
     @property
     def dim(self):

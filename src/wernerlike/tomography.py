@@ -216,19 +216,31 @@ def ideal_marginal_tables(state, settings, f):
     return (waves @ per_order).real
 
 
+@lru_cache(maxsize=len(standard_setting_angles()))
 def smeared_marginal_tables(state, settings):
     """Detected-count marginals in the measured window plus the overflow mass.
 
     Returns (window, overflow): window[s, j, n] for n <= n_max after binomial
-    smearing with eta, overflow[s, j] the detected mass beyond n_max.
+    smearing with eta, overflow[s, j] the detected mass beyond n_max.  Both
+    are read-only.
+
+    Memoized for the last three (state, settings) pairs, one design's setting
+    groups, so repeated sampling at one design builds its tables once.  A
+    HybridState hashes by identity and holds read-only copies of its blocks,
+    and the entry keeps its state alive, so a key cannot be reused by another
+    state; an equal state built anew computes its tables again.
     """
     f = displaced_support(state.dim - 1, settings.beta_abs)
     wide = ideal_marginal_tables(state, settings, f)
-    return detected_window(wide, binomial_matrix(settings.eta, settings.n_max + 1, f.shape[1]))
+    tables = detected_window(wide, binomial_matrix(settings.eta, settings.n_max + 1, f.shape[1]))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def exact_marginal_data(state, settings):
-    """Infinite-statistics marginals (zero variance) for noiseless inversion."""
+    """Infinite-statistics marginals (zero variance) for noiseless inversion;
+    w is the memoized, read-only window."""
     window, _ = smeared_marginal_tables(state, settings)
     return MarginalData(
         theta=settings.theta,
@@ -560,6 +572,8 @@ def _entry(payload, key, convert):
 def _complex_pairs(value):
     # parts assigned, not re + 1j*im, which turns a -0.0 imaginary part into +0.0
     pairs = np.asarray(value, dtype=float)
+    if pairs.shape[-1:] != (2,):
+        raise ValueError("not [re, im] pairs")
     values = np.empty(pairs.shape[:-1], dtype=complex)
     values.real, values.imag = pairs[..., 0], pairs[..., 1]
     return values
@@ -572,7 +586,9 @@ def _float_array(value):
 def load_estimate_json(path):
     """(HybridEstimate, payload) from a file written by write_estimate_json.
 
-    A missing or malformed key raises a ValueError naming it.
+    A missing or malformed key raises a ValueError naming it, and a block
+    whose values, sigma_re or sigma_im are not (n_cutoff+1)^2 a ValueError
+    naming the block.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -587,13 +603,22 @@ def load_estimate_json(path):
     )
     orders = _entry(payload, "orders", tuple) if "orders" in payload else ()
 
+    cdim = settings.n_cutoff + 1
+
     def block(name):
-        return BlockEstimate(
+        est = BlockEstimate(
             values=_entry(payload, f"blocks.{name}.values", _complex_pairs),
             sigma_re=_entry(payload, f"blocks.{name}.sigma_re", _float_array),
             sigma_im=_entry(payload, f"blocks.{name}.sigma_im", _float_array),
             orders=orders,
         )
+        shapes = (est.values.shape, est.sigma_re.shape, est.sigma_im.shape)
+        if set(shapes) != {(cdim, cdim)}:
+            raise ValueError(
+                f"block '{name}': values, sigma_re and sigma_im have shapes {shapes},"
+                f" not ({cdim}, {cdim}) for n_cutoff {settings.n_cutoff}"
+            )
+        return est
 
     estimate = HybridEstimate(uu=block("uu"), dd=block("dd"), ud=block("ud"), settings=settings)
     return estimate, payload

@@ -318,6 +318,13 @@ def _edit_reconstruction(edit):
     return corrupt
 
 
+def _shrink_blocks(payload):
+    # a 3x3 estimate with 1x1 errors in a file whose n_cutoff is 15
+    for block in payload["blocks"].values():
+        block["values"] = [row[:3] for row in block["values"][:3]]
+        block["sigma_re"] = [[0.0]]
+
+
 @pytest.mark.parametrize(
     "corrupt, command, name",
     [
@@ -334,9 +341,11 @@ def _edit_reconstruction(edit):
          "manifest.json"),
         (lambda out: (out / "manifest.json").write_text('{"files": [1]}'), ("verify",),
          "manifest.json"),
+        (_edit_reconstruction(_shrink_blocks), ("wigner", "--source", "recon"),
+         "reconstruction.json: block 'uu'"),
     ],
     ids=["recon-without-eta", "recon-number-orders", "list-manifest-reconstruct", "list-manifest-verify",
-         "bare-number-json", "number-config-text", "number-file-entry"],
+         "bare-number-json", "number-config-text", "number-file-entry", "recon-block-shape"],
 )
 def test_malformed_json_input_rejected(tmp_path, config_path, capsys, corrupt, command, name):
     out = tmp_path / "run"
@@ -348,6 +357,7 @@ def test_malformed_json_input_rejected(tmp_path, config_path, capsys, corrupt, c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert name in err and "Traceback" not in err
+    assert not list(out.glob("wigner_*"))
 
 
 class TestManifestCheck:
@@ -483,6 +493,34 @@ class TestVerify:
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert run_cli("--config", config_path, "--out", out, "verify") == EXIT_VALIDATION
         assert "None: missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry, listed",
+        [
+            ({"path": "../outside.txt"}, "../outside.txt: not a record file"),
+            ({"path": "records_g1.jsonl"}, "records_g1.jsonl: listed 2 times"),
+        ],
+        ids=["outside-path", "duplicate-name"],
+    )
+    def test_manifest_lists_only_the_record_files(self, tmp_path, config_path, capsys,
+                                                  monkeypatch, entry, listed):
+        out = tmp_path / "run"
+        run_cli("--config", config_path, "--out", out, "simulate")
+        outside = tmp_path / "outside.txt"
+        outside.write_text("not a record\n")
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        sha = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
+        manifest["files"][0].update(entry, sha256=sha)
+        path.write_text(json.dumps(manifest))
+        hashed = []
+        sha256 = cli._sha256
+        monkeypatch.setattr(cli, "_sha256", lambda p: hashed.append(p) or sha256(p))
+        capsys.readouterr()
+        assert run_cli("--config", config_path, "--out", out, "verify") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert listed in err and "records_g0.jsonl: listed 0 times" in err
+        assert hashed and all(p.parent == out for p in hashed)
 
     def test_empty_directory_rejected(self, tmp_path, config_path):
         out = tmp_path / "nothing"

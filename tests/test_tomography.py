@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -516,6 +517,86 @@ class TestSerialization:
         again = tmp_path / "again.json"
         tg.write_estimate_json(again, loaded, extra={"config_hash": "deadbeef"})
         assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "block, part, edit, message",
+        [
+            ("uu", "values", lambda v: [row[:3] for row in v[:3]], "block 'uu'"),
+            ("dd", "sigma_re", lambda v: [[0.0]], "block 'dd'"),
+            ("ud", "sigma_im", lambda v: v[:-1], "block 'ud'"),
+            ("uu", "values", lambda v: [[[*pair, 0.0] for pair in row] for row in v],
+             "malformed key 'blocks.uu.values'"),
+        ],
+        ids=["values-3x3", "sigma-1x1", "missing-row", "triple-parts"],
+    )
+    def test_wrong_block_shape_rejected(self, tmp_path, block, part, edit, message):
+        base = settings_16(eta=0.9)
+        est = tg.reconstruct_full(exact_datas(states.build_hybrid_mixture(0.7, 16), base), base)
+        path = tmp_path / "est.json"
+        tg.write_estimate_json(path, est)
+        payload = json.loads(path.read_text())
+        target = payload["blocks"][block]
+        target[part] = edit(target[part])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            tg.load_estimate_json(path)
+
+
+def count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = fock.displacement_amplitudes_batch
+
+    def counted(*args):
+        calls.append(args[1:])
+        return kernel(*args)
+
+    monkeypatch.setattr(fock, "displacement_amplitudes_batch", counted)
+    monkeypatch.setattr(tg, "displacement_amplitudes_batch", counted)
+    return calls
+
+
+class TestForwardTableCache:
+    def test_second_acquisition_reuses_the_tables(self, monkeypatch):
+        state, settings = states.build_hybrid_mixture(0.7, 16), settings_16(eta=0.9)
+        first = montecarlo.simulate_acquisition(state, settings, 500, seed=4)
+        calls = count_kernel_calls(monkeypatch)
+        second = montecarlo.simulate_acquisition(state, settings, 500, seed=4)
+        assert calls == []
+        assert [r.to_json() for r in second] == [r.to_json() for r in first]
+
+    def test_equal_state_built_anew_computes_again(self, monkeypatch):
+        state, settings = states.build_hybrid_mixture(0.7, 16), settings_16(eta=0.9)
+        window, overflow = tg.smeared_marginal_tables(state, settings)
+        twin = states.HybridState(uu=state.uu, ud=state.ud, du=state.du, dd=state.dd)
+        calls = count_kernel_calls(monkeypatch)
+        twin_window, twin_overflow = tg.smeared_marginal_tables(twin, settings)
+        assert len(calls) == 1 and twin_window is not window
+        np.testing.assert_array_equal(twin_window, window)
+        np.testing.assert_array_equal(twin_overflow, overflow)
+
+    def test_tables_and_state_blocks_are_read_only(self):
+        truth = states.build_hybrid_mixture(0.7, 16)
+        uu = np.array(truth.uu)
+        state = states.HybridState(uu=uu, ud=truth.ud, du=truth.du, dd=truth.dd)
+        settings = settings_16(eta=0.9)
+        window, overflow = tg.smeared_marginal_tables(state, settings)
+        for array in (window, overflow, state.uu, state.ud, state.du, state.dd):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        # a write into the caller's array does not reach the state's copy
+        uu[0, 0] = 0.5
+        assert state.uu[0, 0] == truth.uu[0, 0]
+        np.testing.assert_array_equal(
+            tg.smeared_marginal_tables(truth, settings)[0], window
+        )
+
+    def test_cache_holds_one_design(self):
+        state = states.build_hybrid_mixture(0.7, 16)
+        for beta_abs in np.linspace(0.3, 1.2, 10):
+            tg.smeared_marginal_tables(state, replace(settings_16(), beta_abs=float(beta_abs)))
+        info = tg.smeared_marginal_tables.cache_info()
+        assert info.maxsize == len(tg.standard_setting_angles()) == 3
+        assert info.currsize <= 3
 
 
 # ----------------------------------------------------------------------
