@@ -197,6 +197,8 @@ def cmd_simulate(config, args):
                     f"refusing to overwrite {', '.join(existing)}; pass --force to allow"
                 )
         files = []
+        # one state object, so the three groups share one forward pass
+        truth = config.truth_state() if config.backend == "density" else None
         for i, angles in enumerate(tomography.standard_setting_angles()):
             settings = config.settings(*angles)
             if config.backend == "trap":
@@ -206,8 +208,7 @@ def cmd_simulate(config, args):
                 )
             else:
                 records = montecarlo.simulate_acquisition(
-                    config.truth_state(), settings, config.events_per_phase,
-                    config.seed, setting_index=i,
+                    truth, settings, config.events_per_phase, config.seed, setting_index=i,
                 )
             path = _record_path(outdir, i)
             montecarlo.write_records(path, records)

@@ -88,10 +88,12 @@ class HybridState:
 
     Blocks are <s| rho |s'> as (dim, dim) arrays; ``du`` must equal the
     conjugate transpose of ``ud``.  The state holds read-only copies of the
-    blocks it is given.  ``tomography.smeared_marginal_tables`` memoizes its
-    tables per state object (equality and hashing are by identity), so
-    neither a write through the state, which raises, nor a write into an
-    array passed in can leave a stale entry.
+    blocks it is given.  ``tomography.smeared_marginal_tables`` memoizes one
+    design's forward pass, the tables of all three setting groups, per state
+    object (equality and hashing are by identity), so neither a write through
+    the state, which raises, nor a write into an array passed in can leave a
+    stale entry.  Pass one state object for every group of an acquisition:
+    an equal state built anew computes the pass again.
     """
 
     uu: np.ndarray

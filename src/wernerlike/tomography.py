@@ -14,8 +14,11 @@ spin-collapsed block:
     w_hat(n; r) = sum_m G^(r)_nm <m+r| rho_Q |m>,   G^(r)_nm = f_(m+r)n f_mn
 
 which is inverted per order by the least-squares pseudo-inverse
-M = (G^T G)^-1 G^T.  The forward tables run the same operator the other way,
-one G^(r) product per order:
+M = (G^T G)^-1 G^T.  The forward tables run the same operator the other way.
+Every order's G^(r) of a table f is held as one zero-padded (orders, m, n)
+array, entries with m + r past the table zero; the r-th lower diagonals of
+the spin-collapsed operators, zero-padded the same way, meet it in one
+batched product, and the phase waves sum the orders:
 
     w(n; phase_j) = Re sum_r c_r e^{-i r phase_j} (G^(r) diag_r(rho_Q))_n
 
@@ -26,14 +29,22 @@ the inverted system is B G^(r) on the same extended count range, so the
 estimator stays unbiased.  The fold is always applied; B(1) is the identity
 block, so at eta = 1 it only cuts the window.
 
+One forward pass serves a design, the settings without the spin angles: one
+``displaced_support`` search and one stacked product give the tables of all
+three standard setting groups, both spin outcomes each.  The pass is memoized
+for one design and one state object, so the second and third group of an
+acquisition read it; settings at other angles run the same pass for their own
+projector pair.
+
 The four retained-outcome tables a full reconstruction needs (both outcomes
-of the unrotated group, the up outcome of each rotated group) invert together
-in one pass over the orders.  One phase-weight matrix e^{i r phase_j}/N gives
-every order's Fourier data, and its cos^2, sin^2 and cos.sin companions turn
-the cell variances into the variance weights, so the error propagation runs in
-the same loop: per order, M fills the r-th lower diagonal of every table's
-estimate and M*M (elementwise) the variances of its real and imaginary parts
-and their covariance.
+of the unrotated group, the up outcome of each rotated group) invert together.
+One phase-weight matrix e^{i r phase_j}/N gives every order's Fourier data,
+and its cos^2, sin^2 and cos.sin companions turn the cell variances into the
+variance weights.  ``inversion_systems`` keeps the per-order pseudo-inverses
+zero-padded as one (orders, cdim, n_max+1) stack, so two batched products,
+one with M and one with M*M (elementwise), fill the lower diagonals of every
+table's estimate and the variances of its real and imaginary parts and their
+covariance.
 
 Per-order systems whose singular values fall below an absolute floor are
 truncated: a uniformly tiny G (e.g. the far off-diagonal orders at small
@@ -66,7 +77,6 @@ __all__ = [
     "HybridEstimate",
     "spin_projector",
     "collapse_spin",
-    "order_operator",
     "ideal_marginal_tables",
     "smeared_marginal_tables",
     "exact_marginal_data",
@@ -192,31 +202,71 @@ def collapse_spin(state, projector):
     )
 
 
-def order_operator(f, r):
+def _order_operator(f, r):
     """Order-r system matrix G^(r)_nm = f_(m+r)n f_mn, shape (rows, cdim - r),
     of the real (cdim, rows) amplitude table f_kn = <k|D(|b|)|n>."""
     return (f[r:] * f[: len(f) - r]).T
 
 
-def ideal_marginal_tables(state, settings, f):
-    """Ideal (eta = 1) marginals w[s, j, n] for n < rows, summed over Fourier
-    orders, from the real (state.dim, rows) table f_kn = <k|D(|beta|)|n>."""
-    rows = f.shape[1]
-    rho_q = [
-        collapse_spin(state, spin_projector(settings.theta, settings.phi_spin, s))
+def _order_stack(f):
+    """Every order's G^(r) of the table f as one (cdim, cdim, rows) array
+    indexed [r, m, n]; the entries with m + r >= cdim are zero."""
+    cdim = len(f)
+    stack = np.zeros((cdim, *f.shape))
+    for r in range(cdim):
+        stack[r, : cdim - r] = _order_operator(f, r).T
+    return stack
+
+
+def ideal_marginal_tables(state, settings, f, groups=None):
+    """Ideal (eta = 1) marginals for n < rows, summed over Fourier orders, from
+    the real (state.dim, rows) table f_kn = <k|D(|beta|)|n>.
+
+    ``groups`` lists the (theta, phi_spin) setting groups tabulated in the
+    one pass, by default the settings' own angles; the result is
+    w[g, s, j, n].
+    """
+    if groups is None:
+        groups = ((settings.theta, settings.phi_spin),)
+    dim, rows = f.shape
+    ops = np.stack([
+        collapse_spin(state, spin_projector(theta, phi, s))
+        for theta, phi in groups
         for s in (SPIN_DOWN, SPIN_UP)
-    ]
-    # per_order[s, r, n] = (G^(r) diag_r(rho_Q))_n for each spin outcome s
-    per_order = np.empty((2, state.dim, rows), dtype=complex)
-    for r in range(state.dim):
-        diagonals = np.stack([np.diagonal(q, -r) for q in rho_q])
-        per_order[:, r] = diagonals @ order_operator(f, r).T
-    orders = np.arange(state.dim)
+    ])
+    k = len(ops)
+    orders = np.arange(dim)
+    # diagonals[q, r, m] = <m+r|rho_q|m>, zero-padded: the real parts of the
+    # k operators, then their imaginary parts.  Each array is dropped once
+    # used: every large array kept alive adds to the peak memory of a cold
+    # design.
+    shifted = orders[:, None] + orders
+    diagonals = np.concatenate([ops.real, ops.imag])[:, np.minimum(shifted, dim - 1), orders]
+    del ops
+    diagonals[:, shifted >= dim] = 0.0
+    # per_order[r, q, n] = (G^(r) diag_r)_n for every order in one product
+    per_order = diagonals.transpose(1, 0, 2) @ _order_stack(f)
+    del diagonals
+    both = np.empty((k, dim, rows), dtype=complex)
+    both.real = per_order[:, :k].transpose(1, 0, 2)
+    both.imag = per_order[:, k:].transpose(1, 0, 2)
+    del per_order
     waves = np.where(orders == 0, 1.0, 2.0) * np.exp(-1j * np.outer(settings.phases, orders))
-    return (waves @ per_order).real
+    return (waves @ both).real.reshape(len(groups), 2, settings.n_phases, rows)
 
 
-@lru_cache(maxsize=len(standard_setting_angles()))
+@lru_cache(maxsize=1)
+def _design_tables(state, design, groups):
+    """(window, overflow) of every listed group, w[g, s, j, n] and o[g, s, j]:
+    one support search and one forward pass, read-only."""
+    f = displaced_support(state.dim - 1, design.beta_abs)
+    wide = ideal_marginal_tables(state, design, f, groups)
+    tables = detected_window(wide, binomial_matrix(design.eta, design.n_max + 1, f.shape[1]))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def smeared_marginal_tables(state, settings):
     """Detected-count marginals in the measured window plus the overflow mass.
 
@@ -224,18 +274,22 @@ def smeared_marginal_tables(state, settings):
     smearing with eta, overflow[s, j] the detected mass beyond n_max.  Both
     are read-only.
 
-    Memoized for the last three (state, settings) pairs, one design's setting
-    groups, so repeated sampling at one design builds its tables once.  A
-    HybridState hashes by identity and holds read-only copies of its blocks,
-    and the entry keeps its state alive, so a key cannot be reused by another
-    state; an equal state built anew computes its tables again.
+    The first call for a design (the settings without theta and phi_spin)
+    computes the tables of all three standard setting groups in one pass, and
+    the other groups' calls read it; settings at other angles run the pass
+    for their own group alone.  One pass is memoized, keyed on the state
+    object and the design.  A HybridState hashes by identity and holds
+    read-only copies of its blocks, and the entry keeps its state alive, so a
+    key cannot be reused by another state; an equal state built anew computes
+    its tables again.
     """
-    f = displaced_support(state.dim - 1, settings.beta_abs)
-    wide = ideal_marginal_tables(state, settings, f)
-    tables = detected_window(wide, binomial_matrix(settings.eta, settings.n_max + 1, f.shape[1]))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    angles = (settings.theta, settings.phi_spin)
+    groups = standard_setting_angles()
+    if angles not in groups:
+        groups = (angles,)
+    window, overflow = _design_tables(state, settings.with_angles(0.0, 0.0), groups)
+    g = groups.index(angles)
+    return window[g], overflow[g]
 
 
 def exact_marginal_data(state, settings):
@@ -300,36 +354,56 @@ class OrderSystem:
     dropped: int
 
 
-@lru_cache(maxsize=None)
+class OrderSystems(tuple):
+    """The OrderSystem of every order, indexed by r, plus ``m``: their
+    pseudo-inverses as one read-only zero-padded (cdim, cdim, n_max+1)
+    array, of which system r's ``m`` is the view m[r, :cdim - r]."""
+
+    def __new__(cls, systems, m):
+        self = super().__new__(cls, systems)
+        self.m = m
+        return self
+
+
+@lru_cache(maxsize=4)
 def inversion_systems(settings):
-    """Per-order folded systems for the given settings (cached).
+    """Per-order folded systems for the given settings (cached for the last
+    four settings).
 
     The system is B(eta) G^(r) evaluated on an extended ideal-count range, so
     the detected-count rows are exact: the columns of the table
     ``displaced_support`` returns, or 0..n_max when that range is wider.
-    Singular values below SINGULAR_FLOOR are truncated; the per-order
-    diagnostics record how many.
+    Each order's system is formed and decomposed on its own, and the
+    pseudo-inverses are kept zero-padded in one stack.  Singular values below
+    SINGULAR_FLOOR are truncated; the per-order diagnostics record how many.
     """
     cdim = settings.n_cutoff + 1
     f = displaced_support(settings.n_cutoff, settings.beta_abs)
     if f.shape[1] <= settings.n_max:
         f = displacement_amplitudes_batch([settings.beta_abs], cdim, settings.n_max + 1)[0]
     b = binomial_matrix(settings.eta, settings.n_max + 1, f.shape[1])
-    systems = []
+    # each order keeps its own product: over the zero-padded stack, the
+    # one-column last order rounds differently (numpy forms a one-column
+    # product as a matrix-vector product), so its sigma_max would change
+    m = np.zeros((cdim, cdim, settings.n_max + 1))
+    diagnostics = []
     for r in range(cdim):
-        g = b @ order_operator(f, r)
-        u, s, vt = np.linalg.svd(g, full_matrices=False)
+        u, s, vt = np.linalg.svd(b @ _order_operator(f, r), full_matrices=False)
         keep = s > SINGULAR_FLOOR
         if keep.any():
-            m = (vt[keep].T / s[keep]) @ u[:, keep].T
+            m[r, : cdim - r] = (vt[keep].T / s[keep]) @ u[:, keep].T
             cond = float((s[0] / s[keep][-1]) ** 2)
         else:
-            m = np.zeros((g.shape[1], g.shape[0]))
             cond = np.inf
-        systems.append(
-            OrderSystem(r=r, m=m, sigma_max=float(s[0]), cond=cond, dropped=int((~keep).sum()))
-        )
-    return tuple(systems)
+        diagnostics.append((float(s[0]), cond, int((~keep).sum())))
+    m.setflags(write=False)
+    return OrderSystems(
+        [
+            OrderSystem(r=r, m=m[r, : cdim - r], sigma_max=smax, cond=cond, dropped=dropped)
+            for r, (smax, cond, dropped) in enumerate(diagnostics)
+        ],
+        m,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -358,7 +432,8 @@ def reconstruct_hermitian(w, variance, settings, systems=None):
     the r-th lower diagonal; the upper triangle is the conjugate transpose,
     which for real phase data equals the estimate the negative orders would
     give.  The cell variances, treated as independent, propagate through the
-    composition of the discrete Fourier weights with M.
+    composition of the discrete Fourier weights with M.  ``systems`` is what
+    ``inversion_systems`` returns, by default for these settings.
 
     Returns (values, moments, orders): values (k, cdim, cdim) complex;
     moments (3, k, cdim, cdim) holding the variances of the real and
@@ -381,13 +456,19 @@ def reconstruct_hermitian(w, variance, settings, systems=None):
     # every order's Fourier data and variance weights, (k, cdim, n_max+1) each
     what = (np.exp(1j * angle) / nphi) @ w
     spread = (np.stack([c * c, s * s, c * s])[:, None] / nphi**2) @ variance
+    # per order r, the products with M and with M*M: out[r, q, i] for every
+    # table's data and for its three variance weights.  The data product is
+    # complex: real products of the real and imaginary parts round
+    # differently and would move the written estimates in their last bits.
+    m = systems.m.transpose(0, 2, 1)
+    estimates = what.transpose(1, 0, 2) @ m
+    weights = spread.reshape(3 * k, cdim, -1).transpose(1, 0, 2) @ (m * m)
+    # entry (i + r, i) of the lower triangle is out[r, :, i]
+    row, col = np.tril_indices(cdim)
     values = np.zeros((k, cdim, cdim), dtype=complex)
+    values[:, row, col] = estimates[row - col, :, col].T
     moments = np.zeros((3, k, cdim, cdim))
-    for sys_r in systems:
-        r = sys_r.r
-        idx = np.arange(cdim - r)
-        values[:, idx + r, idx] = what[:, r] @ sys_r.m.T
-        moments[:, :, idx + r, idx] = spread[:, :, r] @ (sys_r.m * sys_r.m).T
+    moments[:, :, row, col] = weights[row - col, :, col].T.reshape(3, k, -1)
     # upper triangle by assignment: conjugate values, equal variances,
     # negated covariance
     row, col = np.tril_indices(cdim, -1)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from test_states import read_metrics_csv
-from wernerlike import cli, states
+from wernerlike import cli, fock, states
 from wernerlike.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, RunConfig
 
 SMALL_CONFIG = """\
@@ -299,6 +299,22 @@ def test_outputs_match_pinned_hashes(tmp_path):
         assert run_cli("--config", path, "--seed", 20260801, "--out", out, *stage) == EXIT_OK
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUT_HASHES}
     assert got == OUTPUT_HASHES
+
+
+def test_simulate_builds_one_truth_and_searches_once(tmp_path, monkeypatch):
+    # the three density groups share one truth state, and so one forward pass
+    kernel, build = fock.displacement_amplitudes_batch, states.build_hybrid_mixture
+    probes, builds = [], []
+    monkeypatch.setattr(fock, "displacement_amplitudes_batch",
+                        lambda *a: probes.append(a) or kernel(*a))
+    monkeypatch.setattr(states, "build_hybrid_mixture", lambda *a: builds.append(a) or build(*a))
+    config = RunConfig()
+    fock.displaced_support(config.cutoff - 1, config.beta_abs)
+    search = len(probes)
+    del probes[:]
+    assert run_cli("--out", tmp_path / "run", "simulate") == EXIT_OK
+    assert len(probes) == search >= 1
+    assert len(builds) == 1
 
 
 def test_support_at_the_rounding_floor_simulates(tmp_path):

@@ -27,9 +27,9 @@ PUBLIC = {
     "tomography": [
         "SingularSystemError", "TomographySettings", "standard_setting_angles",
         "MarginalData", "BlockEstimate", "HybridEstimate", "spin_projector", "collapse_spin",
-        "order_operator", "ideal_marginal_tables", "smeared_marginal_tables",
-        "exact_marginal_data", "binomial_matrix", "detected_window", "inversion_systems",
-        "reconstruct_hermitian", "reconstruct_full", "scalar_parts", "error_report",
+        "ideal_marginal_tables", "smeared_marginal_tables", "exact_marginal_data",
+        "binomial_matrix", "detected_window", "inversion_systems", "reconstruct_hermitian",
+        "reconstruct_full", "scalar_parts", "error_report",
     ],
     "montecarlo": [
         "MeasurementRecord", "phase_generator", "sample_records", "simulate_acquisition",

@@ -31,9 +31,32 @@ def random_hybrid(rng, dim):
     )
 
 
+def ref_order_operator(f, r):
+    """Reference: the order-r system matrix G^(r)_nm = f_(m+r)n f_mn, shape
+    (rows, cdim - r), of the real (cdim, rows) table f_kn = <k|D(|b|)|n>."""
+    return (f[r:] * f[: len(f) - r]).T
+
+
 def order_operator(r, beta_abs, cdim):
     """G^(r) with a measured window of cdim counts (n_max = n_cutoff)."""
-    return tg.order_operator(fock.displacement_amplitudes_batch([beta_abs], cdim, cdim)[0], r)
+    return ref_order_operator(fock.displacement_amplitudes_batch([beta_abs], cdim, cdim)[0], r)
+
+
+def ref_ideal_marginal_tables(state, settings, f):
+    """Reference: the per-order forward loop, one G^(r) product per order for
+    the settings' own group, w[s, j, n]."""
+    rows = f.shape[1]
+    rho_q = [
+        tg.collapse_spin(state, tg.spin_projector(settings.theta, settings.phi_spin, s))
+        for s in (fock.SPIN_DOWN, fock.SPIN_UP)
+    ]
+    per_order = np.empty((2, state.dim, rows), dtype=complex)
+    for r in range(state.dim):
+        diagonals = np.stack([np.diagonal(q, -r) for q in rho_q])
+        per_order[:, r] = diagonals @ ref_order_operator(f, r).T
+    orders = np.arange(state.dim)
+    waves = np.where(orders == 0, 1.0, 2.0) * np.exp(-1j * np.outer(settings.phases, orders))
+    return (waves @ per_order).real
 
 
 def marginal_w(state, spin_outcome, n, theta, phi_spin, beta):
@@ -129,7 +152,7 @@ class TestMarginal:
     def test_matches_batched_tables(self, hybrid07):
         base = settings_full()
         f = fock.displacement_amplitudes_batch([base.beta_abs], hybrid07.dim, 20)[0]
-        tables = tg.ideal_marginal_tables(hybrid07, base, f)
+        tables = tg.ideal_marginal_tables(hybrid07, base, f)[0]
         j = 11
         beta = 0.6 * np.exp(1j * base.phases[j])
         for s in (fock.SPIN_DOWN, fock.SPIN_UP):
@@ -145,7 +168,7 @@ class TestMarginal:
         f = fock.displaced_support(31, 0.6)
         rows = f.shape[1]
         assert rows == 60
-        tables = tg.ideal_marginal_tables(hybrid07, settings, f)
+        tables = tg.ideal_marginal_tables(hybrid07, settings, f)[0]
         pad = [(0, rows - 32), (0, rows - 32)]
         wide = states.HybridState(
             **{name: np.pad(getattr(hybrid07, name), pad) for name in ("uu", "ud", "du", "dd")}
@@ -171,7 +194,7 @@ class TestMarginal:
         # the overflow counts n >= dim, without zero-padding the state
         settings = settings_full().with_angles(*tg.standard_setting_angles()[group])
         f = fock.displacement_amplitudes_batch([settings.beta_abs], hybrid07.dim, 60)[0]
-        tables = tg.ideal_marginal_tables(hybrid07, settings, f)
+        tables = tg.ideal_marginal_tables(hybrid07, settings, f)[0]
         for j, phase in enumerate(settings.phases):
             beta = 0.6 * np.exp(1j * phase)
             for s in (fock.SPIN_DOWN, fock.SPIN_UP):
@@ -240,7 +263,7 @@ def folded_operator(settings, r):
     k = fock.displaced_support(settings.n_cutoff, settings.beta_abs).shape[1]
     kext = max(k, settings.n_max + 1)
     f = fock.displacement_amplitudes_batch([settings.beta_abs], settings.n_cutoff + 1, kext)[0]
-    return tg.binomial_matrix(settings.eta, settings.n_max + 1, kext) @ tg.order_operator(f, r)
+    return tg.binomial_matrix(settings.eta, settings.n_max + 1, kext) @ ref_order_operator(f, r)
 
 
 class TestPseudoInverse:
@@ -281,7 +304,7 @@ def unfolded_systems(settings):
     f = fock.displacement_amplitudes_batch([settings.beta_abs], cdim, settings.n_max + 1)[0]
     systems = []
     for r in range(cdim):
-        g = tg.order_operator(f, r)
+        g = ref_order_operator(f, r)
         u, s, vt = np.linalg.svd(g, full_matrices=False)
         keep = s > tg.SINGULAR_FLOOR
         if keep.any():
@@ -321,7 +344,7 @@ class TestUnitEfficiencyFold:
     @pytest.mark.parametrize("group", range(3))
     def test_smeared_tables_are_the_window_slice(self, hybrid07, group):
         settings = settings_full().with_angles(*tg.standard_setting_angles()[group])
-        wide = tg.ideal_marginal_tables(hybrid07, settings, fock.displaced_support(31, 0.6))
+        wide = tg.ideal_marginal_tables(hybrid07, settings, fock.displaced_support(31, 0.6))[0]
         window, overflow = tg.smeared_marginal_tables(hybrid07, settings)
         assert np.array_equal(window, wide[..., :32])
         assert np.array_equal(overflow, np.clip(wide.sum(-1) - wide[..., :32].sum(-1), 0.0, None))
@@ -591,12 +614,71 @@ class TestForwardTableCache:
         )
 
     def test_cache_holds_one_design(self):
+        # the memo is the one forward pass of a design, which serves its
+        # three setting groups
         state = states.build_hybrid_mixture(0.7, 16)
         for beta_abs in np.linspace(0.3, 1.2, 10):
-            tg.smeared_marginal_tables(state, replace(settings_16(), beta_abs=float(beta_abs)))
-        info = tg.smeared_marginal_tables.cache_info()
-        assert info.maxsize == len(tg.standard_setting_angles()) == 3
-        assert info.currsize <= 3
+            for angles in tg.standard_setting_angles():
+                settings = replace(settings_16(), beta_abs=float(beta_abs))
+                tg.smeared_marginal_tables(state, settings.with_angles(*angles))
+        info = tg._design_tables.cache_info()
+        assert info.maxsize == info.currsize == 1
+
+    def test_inversion_cache_is_bounded(self):
+        for beta_abs in np.linspace(0.3, 1.2, 10):
+            tg.inversion_systems(replace(settings_16(), beta_abs=float(beta_abs)))
+        info = tg.inversion_systems.cache_info()
+        assert info.maxsize == 4
+        assert info.currsize <= info.maxsize
+
+
+def count_searches(monkeypatch):
+    searches = []
+    search = fock.displaced_support
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(tg, "displaced_support", counted)
+    return searches
+
+
+class TestStackedForwardTables:
+    """One pass per design, against the per-order forward loop."""
+
+    def test_one_search_serves_the_three_groups(self, monkeypatch):
+        state, base = states.build_hybrid_mixture(0.7, 16), settings_16(eta=0.9)
+        searches = count_searches(monkeypatch)
+        groups = [base.with_angles(*angles) for angles in tg.standard_setting_angles()]
+        first = tg.smeared_marginal_tables(state, groups[0])
+        assert len(searches) == 1
+        calls = count_kernel_calls(monkeypatch)
+        rest = [tg.smeared_marginal_tables(state, settings) for settings in groups[1:]]
+        assert calls == [] and len(searches) == 1
+        # a fresh state with equal blocks computes again
+        twin = states.HybridState(uu=state.uu, ud=state.ud, du=state.du, dd=state.dd)
+        again = [tg.smeared_marginal_tables(twin, settings) for settings in groups]
+        assert len(searches) == 2 and len(calls) == 1
+        for got, want in zip(again, [first, *rest]):
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("eta", [0.9, 1.0])
+    @pytest.mark.parametrize(
+        "angles", [*tg.standard_setting_angles(), (0.4, -1.1)],
+        ids=["diagonal", "real-part", "imag-part", "off-grid"],
+    )
+    def test_tables_match_per_order_reference(self, hybrid07, eta, angles):
+        settings = settings_full(eta).with_angles(*angles)
+        f = fock.displaced_support(hybrid07.dim - 1, settings.beta_abs)
+        wide = ref_ideal_marginal_tables(hybrid07, settings, f)
+        window, overflow = tg.detected_window(
+            wide, tg.binomial_matrix(eta, settings.n_max + 1, f.shape[1])
+        )
+        got_window, got_overflow = tg.smeared_marginal_tables(hybrid07, settings)
+        assert np.array_equal(got_window, window)
+        assert np.array_equal(got_overflow, overflow)
+        assert np.array_equal(tg.ideal_marginal_tables(hybrid07, settings, f)[0], wide)
 
 
 # ----------------------------------------------------------------------
@@ -648,6 +730,31 @@ def ref_reconstruct_hermitian(w, variance, settings, systems):
             {"r": r, "sigma_max": sys_r.sigma_max, "cond": sys_r.cond, "dropped": sys_r.dropped}
         )
     return values, np.sqrt(var_re), np.sqrt(var_im), cov, tuple(diagnostics)
+
+
+class TestStackedReconstruction:
+    """The batched products of reconstruct_hermitian against the per-order
+    loop of the reference."""
+
+    @pytest.mark.parametrize("eta", [0.9, 1.0])
+    def test_matches_per_order_reference(self, eta):
+        settings = settings_16(eta=eta)
+        rng = np.random.default_rng(17)
+        shape = (4, settings.n_phases, settings.n_max + 1)
+        w = rng.dirichlet(np.ones(shape[-1]), size=shape[:2])
+        variance = rng.uniform(1e-6, 1e-4, size=shape)
+        systems = tg.inversion_systems(settings)
+        values, moments, orders = tg.reconstruct_hermitian(w, variance, settings, systems)
+        upper = np.triu_indices(settings.n_cutoff + 1, 1)
+        for q in range(len(w)):
+            ref_values, sre, sim, cov, ref_orders = ref_reconstruct_hermitian(
+                w[q], variance[q], settings, systems
+            )
+            for got, want in ((values[q], ref_values), (moments[0, q], sre**2),
+                              (moments[1, q], sim**2), (moments[2, q], cov)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.array_equal(np.sign(moments[2, q][upper]), np.sign(cov[upper]))
+            assert orders == ref_orders
 
 
 def ref_combine_mean(a, b):
