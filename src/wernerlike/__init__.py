@@ -18,7 +18,6 @@ from .states import (
     HybridState,
     build_hybrid_mixture,
     build_mapped_qubit,
-    build_werner_qubit,
     fidelity_threshold,
     hilbert_schmidt_decomposition,
     kappa_from_alpha,

@@ -293,7 +293,7 @@ def cmd_reconstruct(config, args):
             f"trace(uu) = {np.trace(estimate.uu.values).real:+.6f}"
             f"  trace(dd) = {np.trace(estimate.dd.values).real:+.6f}",
             f"trace(ud) = {np.trace(estimate.ud.values):+.6f}",
-            "order  sigma_max      cond        dropped",
+            "order  sigma_max      cond(G^T G) dropped",
         ]
         for diag in estimate.uu.orders:
             lines.append(

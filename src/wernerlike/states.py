@@ -32,7 +32,6 @@ __all__ = [
     "BracketError",
     "HybridState",
     "HSDecomposition",
-    "build_werner_qubit",
     "build_hybrid_mixture",
     "build_mapped_qubit",
     "kappa_from_alpha",
@@ -67,20 +66,6 @@ class BracketError(ValueError):
 # ----------------------------------------------------------------------
 # state construction
 # ----------------------------------------------------------------------
-
-def pseudo_singlet_qubit():
-    """(|du> - |ud>)/sqrt(2) as a 4-vector in the product basis."""
-    v = np.zeros(4, dtype=complex)
-    v[1] = 1.0 / np.sqrt(2.0)
-    v[2] = -1.0 / np.sqrt(2.0)
-    return v
-
-
-def build_werner_qubit():
-    """I/8 + |singlet><singlet|/2: entangled, yet violates no Bell bound."""
-    v = pseudo_singlet_qubit()
-    return np.eye(4, dtype=complex) / 8.0 + 0.5 * np.outer(v, v.conj())
-
 
 @dataclass(frozen=True, eq=False)
 class HybridState:

@@ -38,11 +38,14 @@ projector pair.
 
 The four retained-outcome tables a full reconstruction needs (both outcomes
 of the unrotated group, the up outcome of each rotated group) invert together.
-One phase-weight matrix e^{i r phase_j}/N gives every order's Fourier data,
-and its cos^2, sin^2 and cos.sin companions turn the cell variances into the
-variance weights.  ``inversion_systems`` keeps the per-order pseudo-inverses
-zero-padded as one (orders, cdim, n_max+1) stack, so two batched products,
-one with M and one with M*M (elementwise), fill the lower diagonals of every
+``inversion_systems`` forms every order's B G^(r) from the same zero-padded
+stack and decomposes them all in one batched SVD; order r's r padded columns
+only add r zero singular values.  The pseudo-inverses M stay zero-padded as
+one (orders, cdim, n_max+1) stack.  Cosine and sine phase weights cos(r
+phase_j)/N and sin(r phase_j)/N give the real and imaginary parts of every
+order's Fourier data, and their cos^2, sin^2 and cos.sin companions turn the
+cell variances into the variance weights, so two real batched products, one
+with M and one with M*M (elementwise), fill the lower diagonals of every
 table's estimate and the variances of its real and imaginary parts and their
 covariance.
 
@@ -202,19 +205,14 @@ def collapse_spin(state, projector):
     )
 
 
-def _order_operator(f, r):
-    """Order-r system matrix G^(r)_nm = f_(m+r)n f_mn, shape (rows, cdim - r),
-    of the real (cdim, rows) amplitude table f_kn = <k|D(|b|)|n>."""
-    return (f[r:] * f[: len(f) - r]).T
-
-
 def _order_stack(f):
-    """Every order's G^(r) of the table f as one (cdim, cdim, rows) array
-    indexed [r, m, n]; the entries with m + r >= cdim are zero."""
+    """Every order's G^(r)_nm = f_(m+r)n f_mn of the real (cdim, rows) table
+    f_kn = <k|D(|b|)|n> as one (cdim, cdim, rows) array indexed [r, m, n];
+    the entries with m + r >= cdim are zero."""
     cdim = len(f)
     stack = np.zeros((cdim, *f.shape))
     for r in range(cdim):
-        stack[r, : cdim - r] = _order_operator(f, r).T
+        stack[r, : cdim - r] = f[r:] * f[: cdim - r]
     return stack
 
 
@@ -338,72 +336,42 @@ def detected_window(wide, b):
     return window, overflow
 
 
-@dataclass(frozen=True)
-class OrderSystem:
-    """Pseudo-inverse and diagnostics of one Fourier-order system.
-
-    ``cond`` is (s_max / s_min)^2 over the kept singular values, the
-    condition number of the normal equations (inf when none is kept);
-    ``dropped`` counts the singular values below SINGULAR_FLOOR.
-    """
-
-    r: int
-    m: np.ndarray
-    sigma_max: float
-    cond: float
-    dropped: int
-
-
-class OrderSystems(tuple):
-    """The OrderSystem of every order, indexed by r, plus ``m``: their
-    pseudo-inverses as one read-only zero-padded (cdim, cdim, n_max+1)
-    array, of which system r's ``m`` is the view m[r, :cdim - r]."""
-
-    def __new__(cls, systems, m):
-        self = super().__new__(cls, systems)
-        self.m = m
-        return self
-
-
 @lru_cache(maxsize=4)
 def inversion_systems(settings):
-    """Per-order folded systems for the given settings (cached for the last
-    four settings).
+    """(m, diagnostics) of the per-order folded systems for the given settings
+    (cached for the last four settings), both read-only.
 
-    The system is B(eta) G^(r) evaluated on an extended ideal-count range, so
-    the detected-count rows are exact: the columns of the table
-    ``displaced_support`` returns, or 0..n_max when that range is wider.
-    Each order's system is formed and decomposed on its own, and the
-    pseudo-inverses are kept zero-padded in one stack.  Singular values below
-    SINGULAR_FLOOR are truncated; the per-order diagnostics record how many.
+    The system of order r is B(eta) G^(r) evaluated on an extended
+    ideal-count range, so the detected-count rows are exact: the columns of
+    the table ``displaced_support`` returns, or 0..n_max when that range is
+    wider.  Every order's system comes from the zero-padded ``_order_stack``
+    and all of them are decomposed in one batched SVD.  m[r] is order r's
+    pseudo-inverse, shape (cdim, n_max+1), whose rows past cdim - r are zero.
+    Singular values below SINGULAR_FLOOR are truncated; diagnostics[r] is
+    (sigma_max, cond, dropped), with cond = (s_max / s_min)^2 over the kept
+    singular values, the condition number of the normal equations (inf when
+    none is kept), and dropped the count of truncated ones.
     """
     cdim = settings.n_cutoff + 1
     f = displaced_support(settings.n_cutoff, settings.beta_abs)
     if f.shape[1] <= settings.n_max:
         f = displacement_amplitudes_batch([settings.beta_abs], cdim, settings.n_max + 1)[0]
     b = binomial_matrix(settings.eta, settings.n_max + 1, f.shape[1])
-    # each order keeps its own product: over the zero-padded stack, the
-    # one-column last order rounds differently (numpy forms a one-column
-    # product as a matrix-vector product), so its sigma_max would change
-    m = np.zeros((cdim, cdim, settings.n_max + 1))
-    diagnostics = []
-    for r in range(cdim):
-        u, s, vt = np.linalg.svd(b @ _order_operator(f, r), full_matrices=False)
-        keep = s > SINGULAR_FLOOR
-        if keep.any():
-            m[r, : cdim - r] = (vt[keep].T / s[keep]) @ u[:, keep].T
-            cond = float((s[0] / s[keep][-1]) ** 2)
-        else:
-            cond = np.inf
-        diagnostics.append((float(s[0]), cond, int((~keep).sum())))
+    u, s, vt = np.linalg.svd(b @ _order_stack(f).transpose(0, 2, 1), full_matrices=False)
+    keep = s > SINGULAR_FLOOR
+    # m[r] = V diag(1/s) U^T over the kept directions; vt is scaled in place,
+    # as a scaled copy would set a cold design's peak memory
+    vt *= np.divide(1.0, s, out=np.zeros_like(s), where=keep)[:, :, None]
+    m = vt.transpose(0, 2, 1) @ u.transpose(0, 2, 1)
+    kept = keep.sum(axis=1)
+    s_min = s[np.arange(cdim), np.maximum(kept - 1, 0)]
+    ratio = np.divide(s[:, 0], s_min, out=np.full(cdim, np.inf), where=kept > 0)
+    # order r's r zero-padded columns add r zero singular values
+    dropped = (~keep).sum(axis=1) - np.arange(cdim)
+    diagnostics = np.stack([s[:, 0], ratio**2, dropped], axis=1)
     m.setflags(write=False)
-    return OrderSystems(
-        [
-            OrderSystem(r=r, m=m[r, : cdim - r], sigma_max=smax, cond=cond, dropped=dropped)
-            for r, (smax, cond, dropped) in enumerate(diagnostics)
-        ],
-        m,
-    )
+    diagnostics.setflags(write=False)
+    return m, diagnostics
 
 
 # ----------------------------------------------------------------------
@@ -432,13 +400,14 @@ def reconstruct_hermitian(w, variance, settings, systems=None):
     the r-th lower diagonal; the upper triangle is the conjugate transpose,
     which for real phase data equals the estimate the negative orders would
     give.  The cell variances, treated as independent, propagate through the
-    composition of the discrete Fourier weights with M.  ``systems`` is what
-    ``inversion_systems`` returns, by default for these settings.
+    composition of the discrete Fourier weights with M.  ``systems`` is the
+    (m, diagnostics) pair ``inversion_systems`` returns, by default for these
+    settings.
 
     Returns (values, moments, orders): values (k, cdim, cdim) complex;
     moments (3, k, cdim, cdim) holding the variances of the real and
     imaginary parts and their covariance; orders the per-order
-    (r, sigma_max, cond, dropped) diagnostics.
+    (r, sigma_max, cond, dropped) diagnostics as dicts made for this call.
     """
     w = np.asarray(w, dtype=float)
     variance = np.asarray(variance, dtype=float)
@@ -447,39 +416,37 @@ def reconstruct_hermitian(w, variance, settings, systems=None):
             f"marginal tables of shape {w.shape} are not a stack of settings grids "
             f"({settings.n_phases} phases x {settings.n_max + 1} counts)"
         )
-    if systems is None:
-        systems = inversion_systems(settings)
+    m, diagnostics = inversion_systems(settings) if systems is None else systems
     k, nphi = len(w), settings.n_phases
     cdim = settings.n_cutoff + 1
     angle = np.outer(np.arange(cdim), settings.phases)  # (cdim, n_phases): r phase_j
     c, s = np.cos(angle), np.sin(angle)
-    # every order's Fourier data and variance weights, (k, cdim, n_max+1) each
-    what = (np.exp(1j * angle) / nphi) @ w
-    spread = (np.stack([c * c, s * s, c * s])[:, None] / nphi**2) @ variance
-    # per order r, the products with M and with M*M: out[r, q, i] for every
-    # table's data and for its three variance weights.  The data product is
-    # complex: real products of the real and imaginary parts round
-    # differently and would move the written estimates in their last bits.
-    m = systems.m.transpose(0, 2, 1)
-    estimates = what.transpose(1, 0, 2) @ m
-    weights = spread.reshape(3 * k, cdim, -1).transpose(1, 0, 2) @ (m * m)
-    # entry (i + r, i) of the lower triangle is out[r, :, i]
-    row, col = np.tril_indices(cdim)
-    values = np.zeros((k, cdim, cdim), dtype=complex)
-    values[:, row, col] = estimates[row - col, :, col].T
-    moments = np.zeros((3, k, cdim, cdim))
-    moments[:, :, row, col] = weights[row - col, :, col].T.reshape(3, k, -1)
-    # upper triangle by assignment: conjugate values, equal variances,
-    # negated covariance
-    row, col = np.tril_indices(cdim, -1)
-    values[:, col, row] = values[:, row, col].conj()
-    moments[:2, :, col, row] = moments[:2, :, row, col]
-    moments[2, :, col, row] = -moments[2, :, row, col]
-    orders = tuple(
-        {"r": t.r, "sigma_max": t.sigma_max, "cond": t.cond, "dropped": t.dropped}
-        for t in systems
+    # every order's Fourier data (real and imaginary parts) and variance
+    # weights, (2 k, cdim, n_max+1) and (3 k, cdim, n_max+1)
+    fourier = ((np.stack([c, s])[:, None] / nphi) @ w).reshape(2 * k, cdim, -1)
+    spread = ((np.stack([c * c, s * s, c * s])[:, None] / nphi**2) @ variance).reshape(
+        3 * k, cdim, -1
     )
-    return values, moments, orders
+    # per order r, the products with M and with M*M: parts[r, q, i]
+    m = m.transpose(0, 2, 1)
+    parts = np.concatenate(
+        [fourier.transpose(1, 0, 2) @ m, spread.transpose(1, 0, 2) @ (m * m)], axis=1
+    )
+    # entry (i + r, i) of the lower triangle is parts[r, :, i]; the upper
+    # triangle mirrors it with the imaginary part and the covariance negated
+    out = np.zeros((5, k, cdim, cdim))
+    row, col = np.tril_indices(cdim)
+    out[:, :, row, col] = parts[row - col, :, col].T.reshape(5, k, -1)
+    row, col = np.tril_indices(cdim, -1)
+    sign = np.array([1.0, -1.0, 1.0, 1.0, -1.0])[:, None, None]
+    out[:, :, col, row] = sign * out[:, :, row, col]
+    values = np.empty((k, cdim, cdim), dtype=complex)
+    values.real, values.imag = out[0], out[1]
+    orders = tuple(
+        {"r": r, "sigma_max": sigma_max, "cond": cond, "dropped": int(dropped)}
+        for r, (sigma_max, cond, dropped) in enumerate(diagnostics.tolist())
+    )
+    return values, out[2:], orders
 
 
 @dataclass

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from test_states import build_werner_qubit
 from wernerlike import cli, fock, montecarlo as mc, states, trapsim as ts
 from wernerlike import tomography as tg
 from wernerlike import wigner as wg
@@ -95,7 +96,7 @@ def test_criterion_2_saturation_values():
 
 def test_criterion_3_anchor_entropies():
     s0 = states.von_neumann_entropy(states.build_mapped_qubit(1.0))
-    sw = states.von_neumann_entropy(states.build_werner_qubit())
+    sw = states.von_neumann_entropy(build_werner_qubit())
     table = states.metric_sweep(0.0, 3.0, 61)
     monotone = states.sweep_monotonicity(table)["entropy_bits_nondecreasing"]
     ok = (

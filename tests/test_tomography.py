@@ -1,4 +1,5 @@
 import json
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -258,12 +259,79 @@ class TestEfficiencySmear:
         assert np.all(smeared >= 0.0)
 
 
-def folded_operator(settings, r):
-    """B(eta) G^(r) on the extended count range, as inversion_systems forms it."""
+def folded_table(settings):
+    """(B(eta), f) on the extended count range, as inversion_systems forms them."""
     k = fock.displaced_support(settings.n_cutoff, settings.beta_abs).shape[1]
     kext = max(k, settings.n_max + 1)
     f = fock.displacement_amplitudes_batch([settings.beta_abs], settings.n_cutoff + 1, kext)[0]
-    return tg.binomial_matrix(settings.eta, settings.n_max + 1, kext) @ ref_order_operator(f, r)
+    return tg.binomial_matrix(settings.eta, settings.n_max + 1, kext), f
+
+
+def folded_operator(settings, r):
+    """B(eta) G^(r) on the extended count range."""
+    b, f = folded_table(settings)
+    return b @ ref_order_operator(f, r)
+
+
+#: one order's pseudo-inverse M, shape (cdim - r, n_max+1), and diagnostics
+RefSystem = namedtuple("RefSystem", "r m sigma_max cond dropped")
+
+
+def ref_order_systems(operators):
+    """Reference: each order's system decomposed by its own SVD, singular
+    values below SINGULAR_FLOOR truncated."""
+    systems = []
+    for r, g in enumerate(operators):
+        u, s, vt = np.linalg.svd(g, full_matrices=False)
+        keep = s > tg.SINGULAR_FLOOR
+        if keep.any():
+            m = (vt[keep].T / s[keep]) @ u[:, keep].T
+            cond = float((s[0] / s[keep][-1]) ** 2)
+        else:
+            m = np.zeros((g.shape[1], g.shape[0]))
+            cond = np.inf
+        systems.append(RefSystem(r, m, float(s[0]), cond, int((~keep).sum())))
+    return systems
+
+
+def ref_inversion_systems(settings):
+    """Reference: the folded systems B(eta) G^(r), one SVD per order."""
+    b, f = folded_table(settings)
+    return ref_order_systems([b @ ref_order_operator(f, r) for r in range(len(f))])
+
+
+def unfolded_systems(settings):
+    """Reference: the former eta = 1 branch of inversion_systems, G^(r) on the
+    measured window alone with no binomial fold."""
+    cdim = settings.n_cutoff + 1
+    f = fock.displacement_amplitudes_batch([settings.beta_abs], cdim, settings.n_max + 1)[0]
+    return ref_order_systems([ref_order_operator(f, r) for r in range(cdim)])
+
+
+def unpack_systems(systems):
+    """The (m, diagnostics) pair of inversion_systems as per-order RefSystems."""
+    m, diagnostics = systems
+    cdim = len(m)
+    return [
+        RefSystem(r, m[r, : cdim - r], sigma_max, cond, int(dropped))
+        for r, (sigma_max, cond, dropped) in enumerate(diagnostics.tolist())
+    ]
+
+
+def assert_systems_match(settings, ref):
+    """inversion_systems against per-order reference systems: dropped exact,
+    M within 1e-8 of each order's largest |M|, sigma_max and cond within
+    1e-9 relative, cond inf exactly where the reference's is."""
+    got = unpack_systems(tg.inversion_systems(settings))
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a.dropped == b.dropped
+        assert a.m.shape == b.m.shape
+        assert np.max(np.abs(a.m - b.m)) <= 1e-8 * np.max(np.abs(b.m))
+        assert abs(a.sigma_max - b.sigma_max) <= 1e-9 * b.sigma_max
+        assert np.isinf(a.cond) == np.isinf(b.cond)
+        if np.isfinite(b.cond):
+            assert abs(a.cond - b.cond) <= 1e-9 * b.cond
 
 
 class TestPseudoInverse:
@@ -273,18 +341,18 @@ class TestPseudoInverse:
         base = tg.TomographySettings(
             theta=0.0, phi_spin=0.0, beta_abs=1e-300, n_phases=36, n_max=15, n_cutoff=15,
         )
-        system = tg.inversion_systems(base)[0]
-        np.testing.assert_allclose(system.m, np.eye(16), atol=1e-12)
-        assert system.cond < 1.0 + 1e-9
+        m, diagnostics = tg.inversion_systems(base)
+        np.testing.assert_allclose(m[0], np.eye(16), atol=1e-12)
+        assert diagnostics[0, 1] < 1.0 + 1e-9
 
     @pytest.mark.parametrize("r", range(6))
     def test_left_inverse_property(self, r):
         for eta in (1.0, 0.9):
             settings = settings_full(eta)
             g = folded_operator(settings, r)
-            system = tg.inversion_systems(settings)[r]
-            np.testing.assert_allclose(system.m @ g, np.eye(32 - r), atol=1e-8)
-            assert np.isfinite(system.cond)
+            m, diagnostics = tg.inversion_systems(settings)
+            np.testing.assert_allclose(m[r, : 32 - r] @ g, np.eye(32 - r), atol=1e-8)
+            assert np.isfinite(diagnostics[r, 1])
 
     def test_noiseless_order_round_trip(self, hybrid07):
         for eta in (1.0, 0.9):
@@ -292,35 +360,26 @@ class TestPseudoInverse:
             data = tg.exact_marginal_data(hybrid07, base)
             r = 2
             what = fourier_data(data.w[fock.SPIN_UP], r)
-            est = tg.inversion_systems(base)[r].m @ what
+            m, _ = tg.inversion_systems(base)
+            est = m[r, :30] @ what
             truth = np.array([hybrid07.uu[k + r, k] for k in range(30)])
             np.testing.assert_allclose(est, truth, atol=1e-8)
 
-
-def unfolded_systems(settings):
-    """Reference: the former eta = 1 branch of inversion_systems, G^(r) on the
-    measured window alone with no binomial fold."""
-    cdim = settings.n_cutoff + 1
-    f = fock.displacement_amplitudes_batch([settings.beta_abs], cdim, settings.n_max + 1)[0]
-    systems = []
-    for r in range(cdim):
-        g = ref_order_operator(f, r)
-        u, s, vt = np.linalg.svd(g, full_matrices=False)
-        keep = s > tg.SINGULAR_FLOOR
-        if keep.any():
-            m = (vt[keep].T / s[keep]) @ u[:, keep].T
-            cond = float((s[0] / s[keep][-1]) ** 2)
-        else:
-            m = np.zeros((g.shape[1], g.shape[0]))
-            cond = np.inf
-        systems.append(
-            tg.OrderSystem(r=r, m=m, sigma_max=float(s[0]), cond=cond, dropped=int((~keep).sum()))
-        )
-    return systems
+    @pytest.mark.parametrize("eta", [0.9, 0.6])
+    @pytest.mark.parametrize("beta_abs", [0.3, 0.6, 1.2])
+    def test_batched_systems_match_per_order_svd(self, eta, beta_abs):
+        # at cutoff 31 and |beta| <= 0.6 whole orders are dropped
+        settings = replace(settings_full(eta), beta_abs=beta_abs)
+        ref = ref_inversion_systems(settings)
+        if beta_abs <= 0.6:
+            assert any(system.dropped == 32 - system.r for system in ref)
+        assert_systems_match(settings, ref)
+        m, _ = tg.inversion_systems(settings)
+        assert all(np.all(m[r, 32 - r :] == 0.0) for r in range(32))
 
 
 class TestUnitEfficiencyFold:
-    """At eta = 1 the binomial fold is the identity block and changes no bit."""
+    """At eta = 1 the binomial fold is the identity block."""
 
     # (6, 0.3) measures counts 0..31 past its support K = 28, so the
     # inversion builds its window table with a second kernel call
@@ -334,12 +393,7 @@ class TestUnitEfficiencyFold:
             theta=0.0, phi_spin=0.0, beta_abs=beta_abs,
             n_phases=2 * n_cutoff + 2, n_max=n_max, n_cutoff=n_cutoff,
         )
-        got = tg.inversion_systems(settings)
-        ref = unfolded_systems(settings)
-        assert len(got) == len(ref)
-        for a, b in zip(got, ref):
-            assert np.array_equal(a.m, b.m)
-            assert (a.sigma_max, a.cond, a.dropped) == (b.sigma_max, b.cond, b.dropped)
+        assert_systems_match(settings, unfolded_systems(settings))
 
     @pytest.mark.parametrize("group", range(3))
     def test_smeared_tables_are_the_window_slice(self, hybrid07, group):
@@ -419,10 +473,10 @@ class TestReconstruction:
 
     def test_conditioning_diagnostics_logged(self):
         base = settings_full()
-        systems = tg.inversion_systems(base)
-        for sys_r in systems[:11]:
-            assert np.isfinite(sys_r.cond)
-            assert sys_r.sigma_max > 0
+        _, diagnostics = tg.inversion_systems(base)
+        for sigma_max, cond, _ in diagnostics[:11]:
+            assert np.isfinite(cond)
+            assert sigma_max > 0
 
     def test_missing_group_reported(self, hybrid07):
         base = settings_full()
@@ -631,6 +685,19 @@ class TestForwardTableCache:
         assert info.maxsize == 4
         assert info.currsize <= info.maxsize
 
+    def test_cached_inversion_cannot_be_changed_through_its_outputs(self):
+        settings = settings_16(eta=0.9)
+        m, diagnostics = tg.inversion_systems(settings)
+        for array in (m, diagnostics):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        datas = exact_datas(states.build_hybrid_mixture(0.7, 16), settings)
+        first = tg.reconstruct_full(datas, settings)
+        want = tuple(dict(order) for order in first.uu.orders)
+        first.uu.orders[0]["cond"] = -1.0
+        first.uu.orders[3]["dropped"] = 99
+        assert tg.reconstruct_full(datas, settings).uu.orders == want
+
 
 def count_searches(monkeypatch):
     searches = []
@@ -743,8 +810,8 @@ class TestStackedReconstruction:
         shape = (4, settings.n_phases, settings.n_max + 1)
         w = rng.dirichlet(np.ones(shape[-1]), size=shape[:2])
         variance = rng.uniform(1e-6, 1e-4, size=shape)
-        systems = tg.inversion_systems(settings)
-        values, moments, orders = tg.reconstruct_hermitian(w, variance, settings, systems)
+        values, moments, orders = tg.reconstruct_hermitian(w, variance, settings)
+        systems = unpack_systems(tg.inversion_systems(settings))
         upper = np.triu_indices(settings.n_cutoff + 1, 1)
         for q in range(len(w)):
             ref_values, sre, sim, cov, ref_orders = ref_reconstruct_hermitian(
@@ -769,12 +836,12 @@ def ref_combine_mean(a, b):
     )
 
 
-def ref_reconstruct_full(datas, settings):
+def ref_reconstruct_full(datas, settings, systems):
     """{block: (values, sigma_re, sigma_im, orders)} through four per-table
-    inversions and the per-block off-diagonal algebra."""
+    inversions with the per-order ``systems`` and the per-block off-diagonal
+    algebra."""
     by_angles = {(d.theta, d.phi_spin): d for d in datas}
     diag, real, imag = (by_angles[a] for a in tg.standard_setting_angles())
-    systems = tg.inversion_systems(settings.with_angles(*tg.DIAGONAL_ANGLES))
 
     def invert(data, row):
         return ref_reconstruct_hermitian(data.w[row], data.variance[row], settings, systems)
@@ -816,7 +883,7 @@ class TestPerBlockReference:
     def test_sampled_default_config(self, backend, seed):
         settings, datas = sampled_datas(backend, seed)
         est = tg.reconstruct_full(datas, settings)
-        ref = ref_reconstruct_full(datas, settings)
+        ref = ref_reconstruct_full(datas, settings, unpack_systems(tg.inversion_systems(settings)))
         for name, (values, sigma_re, sigma_im, orders) in ref.items():
             block = getattr(est, name)
             for got, want in ((block.values, values), (block.sigma_re, sigma_re),
