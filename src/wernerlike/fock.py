@@ -10,17 +10,19 @@ Conventions used throughout the package:
 Displacement matrix elements <m|D(beta)|n> come from the associated-Laguerre
 closed form sqrt(k!/(k+d)!) |beta|^d e^(-|beta|^2/2) L_k^(d)(|beta|^2) with
 k = min(m, n), d = |m - n|, times (-1)^d for m < n (Cahill and Glauber, PR
-177, 1857, 1969).  One kernel, ``displacement_amplitudes_batch``, builds the
-real table for a batch of |beta|.  L_k^(d) depends only on min(m, n) and
-|m - n|, so it runs the three-term degree recurrence along rows only, on a
-(short, wide, batch) array with the batch axis innermost: step k advances
-row k+1 from the two rows before it, min(rows, cols) array steps in all.
-The lower triangle is then copied from the upper one, and the log-factorial
-prefactor, one exp in (batch, rows, cols), is multiplied by the transposed
-view of that array.  ``displaced_support`` probes in the (n_top + 1, K)
-orientation the forward model and the inversion use and returns its accepted
-table, so the forward marginals and the inversion of a design read K from
-its shape and make no second kernel call.
+177, 1857, 1969).  Every displacement table comes from one of three entry
+points:
+
+* ``displacement_amplitudes_batch``, the one kernel, builds the real tables
+  for a batch of |beta|.  L_k^(d) depends only on min(m, n) and |m - n|, so
+  it runs the degree recurrence along rows only, on a (short, wide, batch)
+  array, copies the lower triangle from the upper one, and multiplies in the
+  log-factorial prefactor, one exp in (batch, rows, cols).
+* ``displacement_matrix`` gives complex blocks for one beta or a batch: the
+  kernel's tables times the phase factors e^{i(m-n) arg beta}.
+* ``displaced_support`` finds the rows K that displaced number states m <=
+  n_top need and returns the (n_top + 1, K) table it accepted, which the
+  forward marginals and the inversion of a design both fold.
 
 Against the closed form in mpmath, the real table's largest absolute error
 is 1e-15 at |beta|^2 = 91 for 32 x 32 (the default Wigner grid's corner,
@@ -58,6 +60,8 @@ SPIN_UP = 1
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, 1j], [-1j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
+
+HERMITIAN_TOL = 1e-8  # largest deviation from Hermitian ``hermitian_eigenvalues`` accepts
 
 
 class TruncationError(ValueError):
@@ -150,19 +154,24 @@ def displacement_amplitudes_batch(xs, n_rows, n_cols):
 
 
 def displacement_matrix(beta, n_rows, n_cols):
-    """Rectangular block of <m|D(beta)|n> for complex beta.
+    """Rectangular block of <m|D(beta)|n> for complex beta, or for a 1-D array
+    of beta the stack of blocks, shape (len(beta), n_rows, n_cols).
 
     Phase convention: <m|D(x e^{i phi})|n> = <m|D(x)|n> e^{i(m-n) phi}.  A
     square block is the truncated operator, unitary up to leakage in its last
-    rows and columns.
+    rows and columns.  The kernel runs once per distinct |beta|, and each
+    phase factor is raised once to every m - n; a block is bit for bit the
+    same whichever batch it comes from.
     """
-    beta = complex(beta)
-    x = abs(beta)
-    f = displacement_amplitudes_batch([x], n_rows, n_cols)[0].astype(complex)
-    if beta != x:  # anything but a nonnegative real displacement
-        phase = beta / x
-        f *= phase ** (np.arange(n_rows)[:, None] - np.arange(n_cols)[None, :])
-    return f
+    betas = [complex(b) for b in np.atleast_1d(beta)]
+    xs = [abs(b) for b in betas]
+    distinct = sorted(set(xs))
+    tables = displacement_amplitudes_batch(distinct, n_rows, n_cols)
+    phases = np.array([b / x if b != x else 1.0 for b, x in zip(betas, xs)], dtype=complex)
+    powers = phases[:, None] ** np.arange(1 - n_cols, n_rows)
+    out = np.take(powers, np.arange(n_rows)[:, None] - np.arange(n_cols) + n_cols - 1, axis=1)
+    out *= tables[[distinct.index(x) for x in xs]]
+    return out if np.ndim(beta) else out[0]
 
 
 def displaced_support(n_top, beta_abs, tol=1e-13):
@@ -199,17 +208,17 @@ def spin_rotation(theta, phi):
     return np.cos(theta) * np.eye(2, dtype=complex) - 1j * np.sin(theta) * axis
 
 
-def hermitian_eigenvalues(op, tol=1e-8):
+def hermitian_eigenvalues(op):
     """Real eigenvalues in descending order.
 
-    The input must be Hermitian within ``tol`` (max elementwise deviation);
-    it is symmetrized before the decomposition.
+    The input must be Hermitian within HERMITIAN_TOL (max elementwise
+    deviation); it is symmetrized before the decomposition.
     """
     a = np.asarray(op, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
     deviation = float(np.max(np.abs(a - a.conj().T)))
-    if deviation > tol:
-        raise ValueError(f"matrix deviates from Hermitian by {deviation:.3e} (tol {tol:.1e})")
+    if deviation > HERMITIAN_TOL:
+        raise ValueError(f"matrix deviates from Hermitian by {deviation:.3e} (tol {HERMITIAN_TOL})")
     vals = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
     return vals[::-1]

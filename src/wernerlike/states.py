@@ -22,8 +22,6 @@ from .fock import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
-    SPIN_DOWN,
-    SPIN_UP,
     coherent_state,
     hermitian_eigenvalues,
 )
@@ -57,6 +55,8 @@ PAULI_PRODUCTS = np.array([[np.kron(p, q) for q in _PAULI_BASIS] for p in _PAULI
 CLASSICAL_FIDELITY = 2.0 / 3.0
 
 NEGATIVE_EIGENVALUE_TOL = 1e-10
+TRACE_TOL = 1e-10  # how far ``HybridState.validate`` lets the trace stray from 1
+MONOTONICITY_ATOL = 1e-12  # drop between alpha steps still counted as nondecreasing
 
 
 class BracketError(ValueError):
@@ -102,15 +102,6 @@ class HybridState:
         return cls(uu=np.asarray(uu, dtype=complex), ud=ud, du=ud.conj().T,
                    dd=np.asarray(dd, dtype=complex))
 
-    def block(self, s_row, s_col):
-        table = {
-            (SPIN_UP, SPIN_UP): self.uu,
-            (SPIN_UP, SPIN_DOWN): self.ud,
-            (SPIN_DOWN, SPIN_UP): self.du,
-            (SPIN_DOWN, SPIN_DOWN): self.dd,
-        }
-        return table[(s_row, s_col)]
-
     def to_matrix(self):
         """Dense (2 dim, 2 dim) matrix with index s*dim + n, s=0 down."""
         d = self.dim
@@ -124,11 +115,11 @@ class HybridState:
     def trace(self):
         return complex(np.trace(self.uu) + np.trace(self.dd))
 
-    def validate(self, tol=1e-10):
+    def validate(self):
         if np.max(np.abs(self.du - self.ud.conj().T)) > 1e-12:
             raise ValueError("du block is not the conjugate transpose of ud")
         tr = self.trace()
-        if abs(tr - 1.0) > tol:
+        if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr} deviates from 1")
         vals = hermitian_eigenvalues(self.to_matrix())
         if vals[-1] < -NEGATIVE_EIGENVALUE_TOL:
@@ -292,11 +283,11 @@ def metric_sweep(alpha_min, alpha_max, steps):
     return np.array([metric_row(a) for a in alphas])
 
 
-def sweep_monotonicity(table, atol=1e-12):
+def sweep_monotonicity(table):
     """Nondecreasing flags for the entropy, negativity and fidelity columns."""
     flags = {}
     for name, col in zip(("entropy_bits", "negativity", "fidelity"), (2, 3, 4)):
-        flags[name + "_nondecreasing"] = bool(np.all(np.diff(table[:, col]) >= -atol))
+        flags[name + "_nondecreasing"] = bool(np.all(np.diff(table[:, col]) >= -MONOTONICITY_ATOL))
     return flags
 
 

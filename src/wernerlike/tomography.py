@@ -66,7 +66,6 @@ from .fock import (
     SPIN_UP,
     _log_factorials,
     displaced_support,
-    displacement_amplitudes_batch,
     spin_rotation,
 )
 from .states import HybridState
@@ -341,11 +340,11 @@ def inversion_systems(settings):
     """(m, diagnostics) of the per-order folded systems for the given settings
     (cached for the last four settings), both read-only.
 
-    The system of order r is B(eta) G^(r) evaluated on an extended
-    ideal-count range, so the detected-count rows are exact: the columns of
-    the table ``displaced_support`` returns, or 0..n_max when that range is
-    wider.  Every order's system comes from the zero-padded ``_order_stack``
-    and all of them are decomposed in one batched SVD.  m[r] is order r's
+    The system of order r is B(eta) G^(r) on the ideal counts of the table
+    ``displaced_support`` returns, as in the forward model, so the detected
+    rows are exact (zero past a support narrower than the window).  Every
+    order's system comes from the zero-padded ``_order_stack`` and all of
+    them are decomposed in one batched SVD.  m[r] is order r's
     pseudo-inverse, shape (cdim, n_max+1), whose rows past cdim - r are zero.
     Singular values below SINGULAR_FLOOR are truncated; diagnostics[r] is
     (sigma_max, cond, dropped), with cond = (s_max / s_min)^2 over the kept
@@ -354,8 +353,6 @@ def inversion_systems(settings):
     """
     cdim = settings.n_cutoff + 1
     f = displaced_support(settings.n_cutoff, settings.beta_abs)
-    if f.shape[1] <= settings.n_max:
-        f = displacement_amplitudes_batch([settings.beta_abs], cdim, settings.n_max + 1)[0]
     b = binomial_matrix(settings.eta, settings.n_max + 1, f.shape[1])
     u, s, vt = np.linalg.svd(b @ _order_stack(f).transpose(0, 2, 1), full_matrices=False)
     keep = s > SINGULAR_FLOOR

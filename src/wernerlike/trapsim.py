@@ -1,23 +1,26 @@
 """Ideal-pulse synthesis of the hybrid mixture in a trapped-particle register.
 
-Available pulses: spin rotations about equatorial axes, oscillator
-displacements, and the conditional displacement D(alpha * sigma1) that
-displaces the sigma1 = +1 spin component by +alpha and the sigma1 = -1
-component by -alpha.  The mixture is four products |up/down>|+-alpha> at 1/8
-each and the pseudo-singlet (|down>|a> - |up>|-a>)/sqrt(2) at 1/2.
+Pulses act on (2, dim) spin (x) oscillator amplitude arrays, row 0 = spin
+down: spin rotations about equatorial axes, oscillator displacements, and the
+conditional displacement D(alpha * sigma1) that displaces the sigma1 = +1
+spin component by +alpha and the sigma1 = -1 component by -alpha.  The
+mixture is four products |up/down>|+-alpha> at 1/8 each and the
+pseudo-singlet (|down>|a> - |up>|-a>)/sqrt(2) at 1/2.
 
 A single equatorial rotation after D(alpha sigma1) cannot carry |up>|0> into
 the pseudo-singlet even up to a global phase (the required spin map needs a
 sigma3 component in its generator), so its sequence has three pulses; the
 result matches the target with global phase exactly 1.
 
-The trap backend evolves each component through the measurement pulses and
-folds its ideal projective (sigma3, n) readout through the detector
-efficiency; ``montecarlo.sample_records`` draws the records from the mixture.
+The trap backend evolves each component through the measurement pulses, all
+phases of a group in one batched ``fock.displacement_matrix`` call, and folds
+its ideal projective (sigma3, n) readout through the detector efficiency;
+``montecarlo.sample_records`` draws the records from the mixture.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,7 +28,6 @@ from . import montecarlo
 from .fock import (
     SPIN_DOWN,
     SPIN_UP,
-    displacement_amplitudes_batch,
     displacement_matrix,
     displaced_support,
     spin_rotation,
@@ -36,7 +38,6 @@ __all__ = [
     "SpinRotation",
     "Displacement",
     "ConditionalDisplacement",
-    "JointPureState",
     "apply_pulse",
     "apply_sequence",
     "pseudo_singlet_pulses",
@@ -66,54 +67,35 @@ class ConditionalDisplacement:
     alpha: complex
 
 
-@dataclass(frozen=True, eq=False)
-class JointPureState:
-    """Pure state of spin (x) truncated oscillator; amplitudes (2, dim)."""
-
-    amplitudes: np.ndarray
-
-    @property
-    def dim(self):
-        return self.amplitudes.shape[1]
-
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
-    @classmethod
-    def spin_up_vacuum(cls, dim):
-        amp = np.zeros((2, dim), dtype=complex)
-        amp[SPIN_UP, 0] = 1.0
-        return cls(amp)
-
-
-def apply_pulse(state, pulse):
-    """One unitary pulse; warns when truncation eats more than 1e-6 of the norm."""
-    amp = state.amplitudes
+def apply_pulse(amplitudes, pulse):
+    """One unitary pulse on (2, dim) amplitudes; warns when truncation eats
+    more than 1e-6 of the norm."""
+    dim = amplitudes.shape[1]
     if isinstance(pulse, SpinRotation):
-        out = spin_rotation(pulse.theta, pulse.phi) @ amp
+        out = spin_rotation(pulse.theta, pulse.phi) @ amplitudes
     elif isinstance(pulse, Displacement):
-        out = amp @ displacement_matrix(pulse.beta, state.dim, state.dim).T
+        out = amplitudes @ displacement_matrix(pulse.beta, dim, dim).T
     elif isinstance(pulse, ConditionalDisplacement):
-        plus = (amp[SPIN_UP] + amp[SPIN_DOWN]) / _SQRT2
-        minus = (amp[SPIN_UP] - amp[SPIN_DOWN]) / _SQRT2
-        vp = displacement_matrix(pulse.alpha, state.dim, state.dim) @ plus
-        vm = displacement_matrix(-pulse.alpha, state.dim, state.dim) @ minus
+        plus = (amplitudes[SPIN_UP] + amplitudes[SPIN_DOWN]) / _SQRT2
+        minus = (amplitudes[SPIN_UP] - amplitudes[SPIN_DOWN]) / _SQRT2
+        d_plus, d_minus = displacement_matrix([pulse.alpha, -pulse.alpha], dim, dim)
+        vp, vm = d_plus @ plus, d_minus @ minus
         out = np.stack([(vp - vm) / _SQRT2, (vp + vm) / _SQRT2])
     else:
         raise TypeError(f"unknown pulse type {type(pulse).__name__}")
-    result = JointPureState(out)
-    if result.norm() < 1.0 - 1e-6:
+    norm = np.linalg.norm(out)
+    if norm < 1.0 - 1e-6:
         warnings.warn(
-            f"pulse {pulse!r} lost {1.0 - result.norm():.2e} of the norm to truncation",
+            f"pulse {pulse!r} lost {1.0 - norm:.2e} of the norm to truncation",
             stacklevel=2,
         )
-    return result
+    return out
 
 
-def apply_sequence(state, pulses):
+def apply_sequence(amplitudes, pulses):
     for pulse in pulses:
-        state = apply_pulse(state, pulse)
-    return state
+        amplitudes = apply_pulse(amplitudes, pulse)
+    return amplitudes
 
 
 def pseudo_singlet_pulses(alpha):
@@ -150,16 +132,15 @@ def component_pulses(label, alpha):
     return tuple(pulses)
 
 
-_component_cache = {}
-
-
+@lru_cache(maxsize=len(COMPONENT_LABELS))
 def component_state(label, alpha, dim):
-    key = (label, float(alpha), int(dim))
-    if key not in _component_cache:
-        state = apply_sequence(JointPureState.spin_up_vacuum(dim), component_pulses(label, alpha))
-        state.amplitudes.setflags(write=False)
-        _component_cache[key] = state
-    return _component_cache[key]
+    """Read-only (2, dim) amplitudes of one mixture component, evolved from
+    |up>|0>; cached for the components of one (alpha, dim)."""
+    amplitudes = np.zeros((2, dim), dtype=complex)
+    amplitudes[SPIN_UP, 0] = 1.0
+    amplitudes = apply_sequence(amplitudes, component_pulses(label, alpha))
+    amplitudes.setflags(write=False)
+    return amplitudes
 
 
 def simulate_trap_acquisition(alpha, settings, events_per_phase, seed, dim=32,
@@ -172,28 +153,16 @@ def simulate_trap_acquisition(alpha, settings, events_per_phase, seed, dim=32,
     inverse spin rotation.  The records are drawn from the mixture of those
     tables with the component weights.
     """
-    amps = np.stack([component_state(lbl, alpha, dim).amplitudes for lbl in COMPONENT_LABELS])
+    amps = np.stack([component_state(lbl, alpha, dim) for lbl in COMPONENT_LABELS])
     rows = displaced_support(dim - 1, settings.beta_abs).shape[1]
     smear = binomial_matrix(settings.eta, settings.n_max + 1, rows)
     u_inv = spin_rotation(-settings.theta, settings.phi_spin)
     # moved[j, c] = u_inv @ amps[c] @ D(beta_j)^T, stacked over the per-matrix
     # products of one phase at a time: one flattened product rounds differently
-    moved = u_inv @ (amps @ _phase_displacements(settings, rows, dim).swapaxes(1, 2)[:, None])
+    betas = -(settings.beta_abs * np.exp(1j * settings.phases))
+    moved = u_inv @ (amps @ displacement_matrix(betas, rows, dim).swapaxes(1, 2)[:, None])
     window, overflow = detected_window(np.abs(moved.transpose(1, 2, 0, 3)) ** 2, smear)
     return montecarlo.sample_records(
         settings, events_per_phase, seed, setting_index, COMPONENT_WEIGHTS, window, overflow
     )
 
-
-def _phase_displacements(settings, rows, dim):
-    """D(beta_j), beta_j = -beta_abs e^{i phase_j}, as (n_phases, rows, dim) blocks
-    bit-identical to ``displacement_matrix``: the kernel is elementwise over a
-    batch of |beta_j|, and each phase factor is raised once to every m - n."""
-    betas = [complex(-(settings.beta_abs * np.exp(1j * phase))) for phase in settings.phases]
-    xs = sorted(set(map(abs, betas)))
-    tables = displacement_amplitudes_batch(xs, rows, dim)
-    powers = np.array([b / abs(b) for b in betas])[:, None] ** np.arange(1 - dim, rows)
-    mn = np.arange(rows)[:, None] - np.arange(dim) + dim - 1
-    dmat = np.take(powers, mn, axis=1)
-    dmat *= tables[[xs.index(abs(b)) for b in betas]]
-    return dmat

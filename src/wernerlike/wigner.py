@@ -37,6 +37,9 @@ __all__ = [
 
 BLOCK_NAMES = ("uu", "ud", "du", "dd")
 
+NORMALIZATION_TOL = 1e-3  # largest |grid integral - block trace| accepted
+CHUNK_POINTS = 512  # grid points per kernel call in ``wigner_grid``
+
 
 def default_axes(alpha, re_pad=3.0, spacing=0.1, im_extent=3.0):
     """Symmetric grids containing 0; Re axis covers +-(alpha + re_pad).
@@ -82,7 +85,7 @@ class WignerGrid:
         row = int(np.argmin(np.abs(self.im_axis - im_value)))
         return self.re_axis, self.blocks[name][row]
 
-    def check_normalization(self, expected_traces, tol=1e-3):
+    def check_normalization(self, expected_traces):
         """Record grid integrals against block traces in meta; warn on a miss."""
         checks = {}
         ok = True
@@ -93,7 +96,7 @@ class WignerGrid:
                 "integral": [got.real, got.imag],
                 "expected": [expected.real, expected.imag],
             }
-            if abs(got - expected) > tol:
+            if abs(got - expected) > NORMALIZATION_TOL:
                 ok = False
         self.meta["normalization"] = checks
         self.meta["normalization_ok"] = ok
@@ -104,7 +107,7 @@ class WignerGrid:
             )
 
 
-def wigner_grid(blocks, re_axis, im_axis, chunk=512):
+def wigner_grid(blocks, re_axis, im_axis):
     """Evaluate the surfaces of named oscillator-space blocks on the grid.
 
     ``blocks`` maps names to square arrays (a HybridState gives its four
@@ -131,8 +134,8 @@ def wigner_grid(blocks, re_axis, im_axis, chunk=512):
     xs = 2.0 * np.abs(points)
     by_x = np.argsort(xs, kind="stable")
     values = np.empty((points.size, len(blocks)), dtype=complex)
-    for start in range(0, points.size, chunk):
-        idx = by_x[start : start + chunk]
+    for start in range(0, points.size, CHUNK_POINTS):
+        idx = by_x[start : start + CHUNK_POINTS]
         distinct, which = np.unique(xs[idx], return_inverse=True)
         table = displacement_amplitudes_batch(distinct, dim, dim)
         # sums[u, r, k] = S_r(x_u) of block k; f_mn with m - n = r lies on

@@ -36,10 +36,9 @@ PUBLIC = {
         "write_records", "read_records", "estimate_marginals",
     ],
     "trapsim": [
-        "SpinRotation", "Displacement", "ConditionalDisplacement", "JointPureState",
-        "apply_pulse", "apply_sequence", "pseudo_singlet_pulses", "COMPONENT_LABELS",
-        "COMPONENT_WEIGHTS", "component_pulses", "component_state",
-        "simulate_trap_acquisition",
+        "SpinRotation", "Displacement", "ConditionalDisplacement", "apply_pulse",
+        "apply_sequence", "pseudo_singlet_pulses", "COMPONENT_LABELS", "COMPONENT_WEIGHTS",
+        "component_pulses", "component_state", "simulate_trap_acquisition",
     ],
     "wigner": ["default_axes", "wigner_grid", "WignerGrid", "profile_maxima", "write_grid_csv"],
 }

@@ -78,17 +78,15 @@ def support_axis0(n_top, beta_abs, tol=1e-13):
     return None
 
 
-def count_kernel_calls(monkeypatch):
-    calls = []
-    kernel = fock.displacement_amplitudes_batch
-
-    def counted(*args):
-        calls.append(args[1:])
-        return kernel(*args)
-
-    monkeypatch.setattr(fock, "displacement_amplitudes_batch", counted)
-    monkeypatch.setattr(tomography, "displacement_amplitudes_batch", counted)
-    return calls
+def phased_table(beta, n_rows, n_cols):
+    """Reference: the real table of |beta| times (beta/|beta|)^(m-n), one beta
+    at a time."""
+    beta = complex(beta)
+    x = abs(beta)
+    f = fock.displacement_amplitudes_batch([x], n_rows, n_cols)[0].astype(complex)
+    if beta != x:
+        f *= (beta / x) ** (np.arange(n_rows)[:, None] - np.arange(n_cols))
+    return f
 
 
 def expm_displacement(beta, dim):
@@ -213,6 +211,26 @@ class TestDisplacementOperator:
         sums = np.sum(np.abs(f) ** 2, axis=0)
         np.testing.assert_allclose(sums, 1.0, atol=1e-8)
 
+    @pytest.mark.parametrize(
+        "betas",
+        [
+            [0.0, 0.6, -0.6],
+            [0.6, 0.6j, -0.6j, 0.6 * np.exp(2.1j), 0.6],
+            [0.3 - 0.2j, 0.0, 1.7, -2.3 + 0.1j],
+            -(0.6 * np.exp(2j * np.pi * np.arange(96) / 96)),
+        ],
+        ids=["zero-and-real", "repeated-abs", "complex", "phase-grid"],
+    )
+    def test_batch_equals_stacked_scalar_calls(self, kernel_calls, betas):
+        # one kernel call for the batch, and each block bit for bit the
+        # block a scalar call gives, which is the per-beta phased table
+        batch = fock.displacement_matrix(betas, 50, 32)
+        assert kernel_calls == [(50, 32)]
+        scalar = np.stack([fock.displacement_matrix(beta, 50, 32) for beta in betas])
+        assert batch.shape == (len(betas), 50, 32)
+        assert np.array_equal(batch, scalar)
+        assert np.array_equal(scalar, [phased_table(beta, 50, 32) for beta in betas])
+
     def test_amplitudes_at_wigner_grid_corner(self):
         # Wigner maps evaluate D(2 gamma); the default grid corner
         # gamma = 3.7 + 3i gives |2 gamma|^2 ~ 91, far past the small
@@ -270,10 +288,9 @@ class TestDisplacedSupport:
                 assert k == support_axis0(n_top, beta_abs)
 
     @pytest.mark.parametrize("n_top, expected", [(60, 80), (80, 100)])
-    def test_search_stops_at_the_rounding_floor(self, monkeypatch, n_top, expected):
-        calls = count_kernel_calls(monkeypatch)
+    def test_search_stops_at_the_rounding_floor(self, kernel_calls, n_top, expected):
         k = fock.displaced_support(n_top, 0.1).shape[1]
-        assert k == expected and len(calls) <= 2
+        assert k == expected and len(kernel_calls) <= 2
         # the largest deficit sits at the same rounding floor above tol = 1e-13
         # however many rows are added
         deficits = [
@@ -287,28 +304,28 @@ class TestDisplacedSupport:
         f = fock.displaced_support(31, 0.6)
         assert np.array_equal(f, amplitudes_per_diagonal([0.6], 32, support_axis0(31, 0.6))[0])
 
-    def test_forward_model_and_inversion_reuse_the_search_table(self, monkeypatch):
+    def test_forward_model_and_inversion_reuse_the_search_table(self, kernel_calls):
         config = cli.RunConfig()
         state, settings = config.truth_state(), config.settings()
-        calls = count_kernel_calls(monkeypatch)
+        kernel_calls.clear()
         f = fock.displaced_support(state.dim - 1, settings.beta_abs)
         tomography.ideal_marginal_tables(state, settings, f)
-        assert calls == [(state.dim, f.shape[1])]
-        del calls[:]
+        assert kernel_calls == [(state.dim, f.shape[1])]
+        kernel_calls.clear()
         tomography.smeared_marginal_tables(state, settings)
-        assert calls == [(state.dim, f.shape[1])]
-        del calls[:]
+        assert kernel_calls == [(state.dim, f.shape[1])]
+        kernel_calls.clear()
         tomography.inversion_systems.__wrapped__(settings)
-        assert len(calls) == 1
+        assert len(kernel_calls) == 1
 
-    def test_inversion_builds_a_window_wider_than_the_support(self, monkeypatch):
-        # K = 28 <= n_max = 31: one more kernel call spans the measured window
+    def test_inversion_builds_a_window_wider_than_the_support(self, kernel_calls):
+        # K = 28 <= n_max = 31: the detected window of 32 counts folds the
+        # search's 28 columns, and its rows past them are zero
         settings = tomography.TomographySettings(
             theta=0.0, phi_spin=0.0, beta_abs=0.3, n_phases=14, n_max=31, n_cutoff=6,
         )
-        calls = count_kernel_calls(monkeypatch)
         m, _ = tomography.inversion_systems.__wrapped__(settings)
-        assert calls == [(7, 28), (7, 32)]
+        assert kernel_calls == [(7, 28)]
         assert m.shape == (7, 7, 32)
 
 

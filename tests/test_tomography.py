@@ -71,14 +71,15 @@ def marginal_w(state, spin_outcome, n, theta, phi_spin, beta):
         raise ValueError("count index n must be nonnegative")
     chi_spin = fock.spin_rotation(theta, phi_spin)[:, spin_outcome]
     chi_osc = fock.displacement_matrix(beta, state.dim, n + 1)[:, n]
+    blocks = {
+        (fock.SPIN_UP, fock.SPIN_UP): state.uu,
+        (fock.SPIN_UP, fock.SPIN_DOWN): state.ud,
+        (fock.SPIN_DOWN, fock.SPIN_UP): state.du,
+        (fock.SPIN_DOWN, fock.SPIN_DOWN): state.dd,
+    }
     w = 0.0j
-    for s in (fock.SPIN_DOWN, fock.SPIN_UP):
-        for sp in (fock.SPIN_DOWN, fock.SPIN_UP):
-            w += (
-                np.conj(chi_spin[s])
-                * chi_spin[sp]
-                * (chi_osc.conj() @ state.block(s, sp) @ chi_osc)
-            )
+    for (s, sp), block in blocks.items():
+        w += np.conj(chi_spin[s]) * chi_spin[sp] * (chi_osc.conj() @ block @ chi_osc)
     return float(w.real)
 
 
@@ -619,35 +620,22 @@ class TestSerialization:
             tg.load_estimate_json(path)
 
 
-def count_kernel_calls(monkeypatch):
-    calls = []
-    kernel = fock.displacement_amplitudes_batch
-
-    def counted(*args):
-        calls.append(args[1:])
-        return kernel(*args)
-
-    monkeypatch.setattr(fock, "displacement_amplitudes_batch", counted)
-    monkeypatch.setattr(tg, "displacement_amplitudes_batch", counted)
-    return calls
-
-
 class TestForwardTableCache:
-    def test_second_acquisition_reuses_the_tables(self, monkeypatch):
+    def test_second_acquisition_reuses_the_tables(self, kernel_calls):
         state, settings = states.build_hybrid_mixture(0.7, 16), settings_16(eta=0.9)
         first = montecarlo.simulate_acquisition(state, settings, 500, seed=4)
-        calls = count_kernel_calls(monkeypatch)
+        kernel_calls.clear()
         second = montecarlo.simulate_acquisition(state, settings, 500, seed=4)
-        assert calls == []
+        assert kernel_calls == []
         assert [r.to_json() for r in second] == [r.to_json() for r in first]
 
-    def test_equal_state_built_anew_computes_again(self, monkeypatch):
+    def test_equal_state_built_anew_computes_again(self, kernel_calls):
         state, settings = states.build_hybrid_mixture(0.7, 16), settings_16(eta=0.9)
         window, overflow = tg.smeared_marginal_tables(state, settings)
         twin = states.HybridState(uu=state.uu, ud=state.ud, du=state.du, dd=state.dd)
-        calls = count_kernel_calls(monkeypatch)
+        kernel_calls.clear()
         twin_window, twin_overflow = tg.smeared_marginal_tables(twin, settings)
-        assert len(calls) == 1 and twin_window is not window
+        assert len(kernel_calls) == 1 and twin_window is not window
         np.testing.assert_array_equal(twin_window, window)
         np.testing.assert_array_equal(twin_overflow, overflow)
 
@@ -714,19 +702,19 @@ def count_searches(monkeypatch):
 class TestStackedForwardTables:
     """One pass per design, against the per-order forward loop."""
 
-    def test_one_search_serves_the_three_groups(self, monkeypatch):
+    def test_one_search_serves_the_three_groups(self, monkeypatch, kernel_calls):
         state, base = states.build_hybrid_mixture(0.7, 16), settings_16(eta=0.9)
         searches = count_searches(monkeypatch)
         groups = [base.with_angles(*angles) for angles in tg.standard_setting_angles()]
         first = tg.smeared_marginal_tables(state, groups[0])
         assert len(searches) == 1
-        calls = count_kernel_calls(monkeypatch)
+        kernel_calls.clear()
         rest = [tg.smeared_marginal_tables(state, settings) for settings in groups[1:]]
-        assert calls == [] and len(searches) == 1
+        assert kernel_calls == [] and len(searches) == 1
         # a fresh state with equal blocks computes again
         twin = states.HybridState(uu=state.uu, ud=state.ud, du=state.du, dd=state.dd)
         again = [tg.smeared_marginal_tables(twin, settings) for settings in groups]
-        assert len(searches) == 2 and len(calls) == 1
+        assert len(searches) == 2 and len(kernel_calls) == 1
         for got, want in zip(again, [first, *rest]):
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
