@@ -22,10 +22,19 @@ an int field by ``int.__repr__``, anything else by ``json.dumps``; a count
 list is ``str`` of its integer array's ``tolist()``, and an overflow its
 ``int()``.  Record files are pinned byte for byte, so a change here is a
 format change.
+
+Phase j of setting group g draws from its own stream: the PCG64 generator
+seeded by ``SeedSequence(seed, spawn_key=(g, j))``, so phases can be sampled
+in any order.  ``sample_records`` computes every phase's PCG64 state of a
+group in one vectorised pass of SeedSequence's hash and draws them all from
+one reused generator; the record hashes in ``perfbench/golden.json`` pin
+this contract for both backends.  Seeds are non-negative integers, the only
+ones a record line can carry.
 """
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +44,6 @@ from .tomography import MarginalData, smeared_marginal_tables
 
 __all__ = [
     "MeasurementRecord",
-    "phase_generator",
     "sample_records",
     "simulate_acquisition",
     "write_records",
@@ -82,13 +90,13 @@ class MeasurementRecord:
         numbers, and a missing or malformed field raises a ValueError naming
         it."""
         obj = json.loads(line)
-        if not isinstance(obj, dict):
-            raise ValueError(f"a record must be a JSON object, not {type(obj).__name__}")
-        setting = _field(obj, "setting", dict)
-        return cls(
-            *[_field(setting, name, _number, "setting.") for name in _SETTING_FIELDS],
-            *[_field(obj, name, convert) for name, convert in _RECORD_FIELDS],
-        )
+        if _plain(obj):
+            try:
+                return _plain_record(obj, *[np.array(obj[name], dtype=np.int64)
+                                            for name in _COUNT_FIELDS])
+            except OverflowError:  # a count outside int64, which the walk names
+                pass
+        return _walked_record(obj)
 
 
 _RECORD_LINE = (
@@ -106,6 +114,48 @@ def _json_scalar(value):
     if isinstance(value, float) and math.isfinite(value):
         return float.__repr__(value)
     return json.dumps(value)
+
+
+def _plain(obj):
+    """True if a parsed line holds every field as its plain JSON type: a
+    setting object of finite numbers, integers, and lists of integers.
+
+    One expression instead of a call per field; any other line goes through
+    ``_walked_record``, which accepts what it accepts (a setting ``dict()``
+    can build, say) and names the first bad field.  A plain line can still
+    hold an integer outside int64, which building its count array finds.
+    """
+    try:
+        angles = _ANGLES(obj["setting"])
+        return (
+            {*map(type, angles)} <= {int, float}
+            and all(map(math.isfinite, angles))
+            and type(obj["counts_up"]) is list
+            and type(obj["counts_down"]) is list
+            and {*map(type, _INTEGERS(obj)), *map(type, obj["counts_up"]),
+                 *map(type, obj["counts_down"])} == {int}
+        )
+    except (KeyError, TypeError, OverflowError):  # not a dict, a missing key, a huge int
+        return False
+
+
+def _plain_record(obj, counts_up, counts_down):
+    phase_index, n_phases, total_events, seed, overflow_up, overflow_down = _INTEGERS(obj)
+    return MeasurementRecord(
+        *map(float, _ANGLES(obj["setting"])), phase_index, n_phases, total_events, seed,
+        counts_up, counts_down, overflow_up, overflow_down,
+    )
+
+
+def _walked_record(obj):
+    # the field walk: every field converted on its own, the first bad one named
+    if not isinstance(obj, dict):
+        raise ValueError(f"a record must be a JSON object, not {type(obj).__name__}")
+    setting = _field(obj, "setting", dict)
+    return MeasurementRecord(
+        *[_field(setting, name, _number, "setting.") for name in _SETTING_FIELDS],
+        *[_field(obj, name, convert) for name, convert in _RECORD_FIELDS],
+    )
 
 
 def _field(obj, name, convert, prefix=""):
@@ -149,12 +199,90 @@ _RECORD_FIELDS = (
     ("overflow_up", _integer),
     ("overflow_down", _integer),
 )
+_COUNT_FIELDS = ("counts_up", "counts_down")
+_ANGLES = operator.itemgetter(*_SETTING_FIELDS)
+_INTEGERS = operator.itemgetter(
+    *[name for name, convert in _RECORD_FIELDS if convert is _integer]
+)
 
 
-def phase_generator(seed, setting_index, phase_index):
-    """Deterministic per-phase generator; phases can be sampled in any order."""
-    ss = np.random.SeedSequence(seed, spawn_key=(setting_index, phase_index))
-    return np.random.Generator(np.random.PCG64(ss))
+#: numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+#: PCG64's 128-bit LCG multiplier, which ``_phase_states`` reproduces
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _nonnegative_int(value, name):
+    # a numpy integer becomes an int; None, bools, floats and negatives are refused
+    if isinstance(value, np.integer):
+        value = int(value)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
+    return value
+
+
+def _words(n):
+    # a non-negative int as SeedSequence splits it: little-endian uint32 words
+    words = []
+    while True:
+        words.append(n & _MASK32)
+        n >>= 32
+        if not n:
+            return words
+
+
+def _phase_states(seed, setting_index, n_phases):
+    """The PCG64 (state, inc) of every phase j < n_phases: those of
+    ``PCG64(SeedSequence(seed, spawn_key=(setting_index, j)))``.
+
+    SeedSequence hashes its entropy words into a pool of four: the seed's
+    words padded with zeros to four, the setting index's words, then j's one
+    word.  Only the last word varies over a group, so the others mix once as
+    Python ints masked to 32 bits and j mixes in as a uint32 array, whose
+    products wrap.  The pool then hashes into two 128-bit words, a seed and
+    an increment, and PCG64 seeds itself with two LCG steps.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32) & _MASK32
+        return value ^ value >> 16
+
+    entropy = _words(seed)
+    entropy += [0] * (4 - len(entropy)) + _words(setting_index)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in [*entropy[4:], np.arange(n_phases, dtype=np.uint32)]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    halves = []
+    for k in range(8):
+        value = pool[k % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        halves.append((value ^ value >> 16).astype(np.uint64))
+    # four uint64 words per phase: seed high, seed low, increment high, low
+    words = [(halves[2 * i] | halves[2 * i + 1] << 32).tolist() for i in range(4)]
+    states = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in zip(*words):
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
 
 
 def sample_records(settings, events_per_phase, seed, setting_index, weights, window, overflow):
@@ -162,10 +290,14 @@ def sample_records(settings, events_per_phase, seed, setting_index, weights, win
 
     weights: (k,) mixture weights; window: (k, 2, n_phases, n_max+1) detected
     probabilities of each component; overflow: (k, 2, n_phases).  Per phase,
-    one generator draws how many events each component gets, then one
+    the phase's stream draws how many events each component gets, then one
     multinomial over each such component's cells: spin-up counts, spin-down
-    counts, then the down and up overflow bins.
+    counts, then the down and up overflow bins.  seed and setting_index must
+    be non-negative integers (a numpy integer is taken as its int); any
+    other seed raises a ValueError before a draw.
     """
+    seed = _nonnegative_int(seed, "seed")
+    setting_index = _nonnegative_int(setting_index, "setting_index")
     weights = np.asarray(weights, dtype=float)
     win = window.shape[-1]
     cells = np.concatenate(
@@ -174,9 +306,17 @@ def sample_records(settings, events_per_phase, seed, setting_index, weights, win
     cells = np.clip(cells, 0.0, None)
     cells /= cells.sum(axis=-1, keepdims=True)
     counts = np.zeros(cells.shape[1:], dtype=np.int64)
-    for j in range(settings.n_phases):
-        rng = phase_generator(seed, setting_index, j)
-        for c, runs in enumerate(rng.multinomial(events_per_phase, weights).tolist()):
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for j, (state, inc) in enumerate(_phase_states(seed, setting_index, settings.n_phases)):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        # one component gets every event: its weight draw takes no random numbers
+        if len(weights) == 1:
+            split = [events_per_phase]
+        else:
+            split = rng.multinomial(events_per_phase, weights).tolist()
+        for c, runs in enumerate(split):
             if runs:
                 counts[j] += rng.multinomial(runs, cells[c, j])
     over = counts[:, 2 * win :].tolist()
@@ -218,6 +358,16 @@ def read_records(path):
     """Records of a JSON-lines file; a bad line raises a ValueError naming its number."""
     with open(path) as fh:
         lines = fh.readlines()
+    # a file of plain lines with equal-length counts builds one count array
+    # per spin; any other file goes line by line, which names its first bad line
+    try:
+        objs = [json.loads(line) for line in lines if line.strip()]
+        if all(map(_plain, objs)):
+            counts = [np.array([obj[name] for obj in objs], dtype=np.int64)
+                      for name in _COUNT_FIELDS]
+            return list(map(_plain_record, objs, *counts))
+    except (ValueError, OverflowError):  # bad JSON, ragged counts, a count outside int64
+        pass
     records = []
     for lineno, line in enumerate(lines, start=1):
         if line.strip():
@@ -232,10 +382,10 @@ def estimate_marginals(records):
     """Frequency estimates w_est = counts/events with var = w_est/events.
 
     Rejects, with a ValueError naming the phase index, records that mix
-    settings or seeds, miss a phase, carry counts_up and counts_down of
-    unequal length or negative counts, or whose counts plus overflow differ
-    from total_events; and records with total_events < 1, which estimate
-    nothing.
+    settings or seeds, miss or repeat a phase, carry counts_up and
+    counts_down of unequal length or negative counts, or whose counts plus
+    overflow differ from total_events; and records with total_events < 1,
+    which estimate nothing.
     """
     if not records:
         raise ValueError("no records given")
@@ -259,16 +409,20 @@ def estimate_marginals(records):
             raise ValueError(f"phase {rec.phase_index}: records mix different settings or seeds")
     seen = sorted(rec.phase_index for rec in records)
     if seen != list(range(first.n_phases)):
+        repeated = [j for j, after in zip(seen, seen[1:]) if j == after]
+        if repeated:
+            raise ValueError(f"phase {repeated[0]}: the phase index repeats")
         missing = sorted(set(range(first.n_phases)) - set(seen))
         raise ValueError(f"incomplete phase coverage; missing phase indices {missing[:8]}")
     if first.total_events < 1:
         raise ValueError(f"total_events = {first.total_events}; a phase needs at least 1 event")
     # cells[s, j] holds the counts of spin outcome s at phase j, then its overflow
     cells = np.empty((2, first.n_phases, win + 1), dtype=np.int64)
-    for rec in records:
-        j = rec.phase_index
-        cells[SPIN_UP, j, :win], cells[SPIN_DOWN, j, :win] = rec.counts_up, rec.counts_down
-        cells[SPIN_UP, j, win], cells[SPIN_DOWN, j, win] = rec.overflow_up, rec.overflow_down
+    phases = [rec.phase_index for rec in records]
+    cells[SPIN_UP, phases, :win] = [rec.counts_up for rec in records]
+    cells[SPIN_DOWN, phases, :win] = [rec.counts_down for rec in records]
+    cells[SPIN_UP, phases, win] = [rec.overflow_up for rec in records]
+    cells[SPIN_DOWN, phases, win] = [rec.overflow_down for rec in records]
     negative = (cells < 0).any(axis=(0, 2))
     if negative.any():
         raise ValueError(f"phase {int(np.argmax(negative))}: negative counts")

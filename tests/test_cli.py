@@ -10,7 +10,7 @@ import pytest
 
 from test_states import read_metrics_csv
 from test_tomography import ref_inversion_systems, ref_reconstruct_full
-from wernerlike import cli, fock, montecarlo, states, tomography, wigner
+from wernerlike import cli, fock, montecarlo, states, tomography, trapsim, wigner
 from wernerlike.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, RunConfig
 
 SMALL_CONFIG = """\
@@ -188,6 +188,19 @@ class TestSimulateReconstruct:
         assert "records_g2.jsonl" in err and "phase 5" in err
         assert not (out / "reconstruction.json").exists()
 
+    def test_repeated_record_line_named(self, tmp_path, config_path, capsys):
+        out = tmp_path / "run"
+        run_cli("--config", config_path, "--out", out, "simulate")
+        path = out / "records_g1.jsonl"
+        lines = path.read_text().splitlines()
+        assert json.loads(lines[5])["phase_index"] == 5
+        path.write_text("\n".join(lines + [lines[5]]) + "\n")
+        capsys.readouterr()
+        assert run_cli("--config", config_path, "--out", out, "reconstruct") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "records_g1.jsonl: phase 5: the phase index repeats" in err
+        assert not (out / "reconstruction.json").exists()
+
     @pytest.mark.parametrize(
         "corrupt, field",
         [
@@ -280,6 +293,33 @@ def test_records_match_golden_hashes(tmp_path, seed, backend):
     got = [hashlib.sha256((out / f"records_g{i}.jsonl").read_bytes()).hexdigest()
            for i in range(3)]
     assert got == golden
+
+
+@pytest.mark.parametrize("backend", ["density", "trap"])
+def test_records_read_back_to_their_bytes_and_estimates(tmp_path, backend):
+    # the default-seed groups, written, read and written again, keep their
+    # bytes, and the records read back estimate what the sampled ones do
+    config = RunConfig(backend=backend)
+    golden = json.loads(GOLDEN.read_text())["records"][str(config.seed)][backend]
+    truth = config.truth_state()
+    for i, angles in enumerate(tomography.standard_setting_angles()):
+        settings = config.settings(*angles)
+        if backend == "trap":
+            sampled = trapsim.simulate_trap_acquisition(
+                config.alpha, settings, config.events_per_phase, config.seed,
+                dim=config.cutoff, setting_index=i)
+        else:
+            sampled = montecarlo.simulate_acquisition(
+                truth, settings, config.events_per_phase, config.seed, setting_index=i)
+        first, second = tmp_path / f"first_g{i}.jsonl", tmp_path / f"second_g{i}.jsonl"
+        montecarlo.write_records(first, sampled)
+        assert hashlib.sha256(first.read_bytes()).hexdigest() == golden[i]
+        read = montecarlo.read_records(first)
+        montecarlo.write_records(second, read)
+        assert second.read_bytes() == first.read_bytes()
+        want, got = montecarlo.estimate_marginals(sampled), montecarlo.estimate_marginals(read)
+        np.testing.assert_array_equal(got.w, want.w)
+        np.testing.assert_array_equal(got.variance, want.variance)
 
 
 #: sha256 of wigner_true.csv at seed 20260801 (density backend, default

@@ -32,8 +32,8 @@ PUBLIC = {
         "reconstruct_full", "scalar_parts", "error_report",
     ],
     "montecarlo": [
-        "MeasurementRecord", "phase_generator", "sample_records", "simulate_acquisition",
-        "write_records", "read_records", "estimate_marginals",
+        "MeasurementRecord", "sample_records", "simulate_acquisition", "write_records",
+        "read_records", "estimate_marginals",
     ],
     "trapsim": [
         "SpinRotation", "Displacement", "ConditionalDisplacement", "apply_pulse",

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -23,6 +24,13 @@ def state16():
     return states.build_hybrid_mixture(0.7, 16)
 
 
+def phase_generator(seed, setting_index, phase_index):
+    """Reference: the generator of one phase, built by numpy's constructors;
+    phases can be sampled in any order."""
+    ss = np.random.SeedSequence(seed, spawn_key=(setting_index, phase_index))
+    return np.random.Generator(np.random.PCG64(ss))
+
+
 def sample_phase_counts(rng, events, window, overflow):
     """Reference: one multinomial draw over one phase's (spin, count) cells
     plus overflow bins, normalised per call."""
@@ -43,7 +51,7 @@ def reference_sample_records(settings, events_per_phase, seed, setting_index, we
     weights = np.asarray(weights, dtype=float)
     records = []
     for j in range(settings.n_phases):
-        rng = mc.phase_generator(seed, setting_index, j)
+        rng = phase_generator(seed, setting_index, j)
         counts = np.zeros((2, window.shape[-1]), dtype=np.int64)
         over = np.zeros(2, dtype=np.int64)
         for c, runs in enumerate(rng.multinomial(events_per_phase, weights).tolist()):
@@ -87,7 +95,7 @@ class TestSimulateAcquisition:
         # order the phases are generated in
         settings = small_settings()
         full = mc.simulate_acquisition(state16, settings, 300, seed=4)
-        rng = mc.phase_generator(4, 0, 13)
+        rng = phase_generator(4, 0, 13)
         window, overflow = tg.smeared_marginal_tables(state16, settings)
         counts, over = sample_phase_counts(rng, 300, window[:, 13, :], overflow[:, 13])
         np.testing.assert_array_equal(full[13].counts_up, counts[fock.SPIN_UP])
@@ -136,7 +144,7 @@ class TestSampleRecords:
         records = mc.sample_records(settings, 900, 6, 2, weights, window, overflow)
         assert [rec.phase_index for rec in records] == list(range(settings.n_phases))
         for j, rec in enumerate(records):
-            runs = mc.phase_generator(6, 2, j).multinomial(900, weights)
+            runs = phase_generator(6, 2, j).multinomial(900, weights)
             assert (rec.counts_up[0], rec.counts_down[4], rec.overflow_up) == tuple(runs)
             assert rec.counts_up.sum() + rec.counts_down.sum() + rec.overflow_up == 900
             assert rec.overflow_down == 0
@@ -167,6 +175,47 @@ class TestSampleRecords:
                 assert getattr(a, name).dtype == np.int64
                 np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
             assert type(a.overflow_up) is int and type(a.overflow_down) is int
+
+
+#: one word, two words, the 64-bit top and an entropy longer than the pool of 4
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**200 + 3, 20260801]
+
+
+class TestPhaseSeeding:
+    @pytest.mark.parametrize("setting_index", [0, 1, 2, 7, 2**32 + 1])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_equal_the_numpy_constructors(self, seed, setting_index):
+        want = []
+        for j in range(300):
+            ss = np.random.SeedSequence(seed, spawn_key=(setting_index, j))
+            state = np.random.PCG64(ss).state["state"]
+            want.append((state["state"], state["inc"]))
+        for n_phases in (1, 96, 300):
+            assert mc._phase_states(seed, setting_index, n_phases) == want[:n_phases]
+
+    @pytest.mark.parametrize("seed", [None, True, 7.0, -1],
+                             ids=["none", "bool", "float", "negative"])
+    def test_seed_a_record_cannot_hold_refused(self, state16, monkeypatch, seed):
+        def no_generator(*args):
+            raise AssertionError("a generator was built before the seed was checked")
+
+        monkeypatch.setattr(np.random, "PCG64", no_generator)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            mc.simulate_acquisition(state16, small_settings(), 100, seed=seed)
+
+    def test_negative_setting_index_refused(self, state16):
+        # its words would never run out: the check comes before the seeding
+        with pytest.raises(ValueError, match="setting_index must be a non-negative integer"):
+            mc.simulate_acquisition(state16, small_settings(), 100, seed=1, setting_index=-1)
+
+    def test_numpy_integer_seed_is_taken_as_its_int(self, state16, tmp_path):
+        got = mc.simulate_acquisition(state16, small_settings(), 100, seed=np.int64(7))
+        want = mc.simulate_acquisition(state16, small_settings(), 100, seed=7)
+        assert all(type(rec.seed) is int for rec in got)
+        mc.write_records(tmp_path / "got.jsonl", got)
+        mc.write_records(tmp_path / "want.jsonl", want)
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+        assert [rec.seed for rec in mc.read_records(tmp_path / "got.jsonl")] == [7] * 24
 
 
 class TestRecords:
@@ -304,6 +353,52 @@ def record_groups(draw):
     return group
 
 
+#: a field path into a record object; DELETE removes the field
+FIELD_PATHS = [
+    (), ("setting",), ("setting", "theta"), ("setting", "phi_spin"), ("setting", "beta_abs"),
+    ("phase_index",), ("n_phases",), ("total_events",), ("seed",), ("counts_up",),
+    ("counts_down",), ("overflow_up",), ("overflow_down",),
+]
+DELETE = object()
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([2**63, -(2**63) - 1, 10**400]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+#: what replaces a field: nothing, any JSON value, integer lists with a
+#: bool, float or too-large entry, and the [name, number] pairs the walk's
+#: dict() accepts as a setting
+replacements = st.one_of(
+    st.just(DELETE), json_values,
+    st.lists(st.integers() | st.sampled_from([True, 1.0, 2**64]), max_size=4),
+    st.lists(st.tuples(st.sampled_from(["theta", "phi_spin", "beta_abs"]), finite),
+             min_size=3, max_size=3),
+)
+
+
+def edited_line(rec, path, value):
+    """rec's line with the field at path replaced by value (or removed)."""
+    obj = json.loads(rec.to_json())
+    if not path:  # the whole line: removing it leaves an empty object
+        return json.dumps({} if value is DELETE else value)
+    *parents, key = path
+    target = obj
+    for name in parents:
+        target = target[name]
+    if value is DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    return json.dumps(obj)
+
+
+def record_fields(rec):
+    return [(type(value), value.dtype, value.tolist()) if isinstance(value, np.ndarray)
+            else (type(value), value) for value in vars(rec).values()]
+
+
 class TestRecordProperties:
     @hypothesis.settings(max_examples=300)
     @given(template_records())
@@ -341,6 +436,39 @@ class TestRecordProperties:
         with pytest.raises(ValueError, match=f"phase {j}: (negative counts|counts plus overflow)"):
             mc.estimate_marginals(group)
 
+    @hypothesis.settings(max_examples=400)
+    @given(records(), st.sampled_from(FIELD_PATHS), replacements)
+    def test_one_pass_check_agrees_with_the_field_walk(self, rec, path, value):
+        # from_json returns the walk's record or raises the walk's message
+        line = edited_line(rec, path, value)
+        try:
+            want = mc._walked_record(json.loads(line))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                mc.MeasurementRecord.from_json(line)
+            assert str(got.value) == str(exc)
+        else:
+            assert record_fields(mc.MeasurementRecord.from_json(line)) == record_fields(want)
+
+    @hypothesis.settings(max_examples=200)
+    @given(record_groups(), st.data())
+    def test_file_reading_agrees_with_line_by_line(self, tmp_path_factory, group, data):
+        j = data.draw(st.integers(0, len(group) - 1))
+        lines = [rec.to_json() for rec in group]
+        lines[j] = edited_line(group[j], data.draw(st.sampled_from(FIELD_PATHS)),
+                               data.draw(replacements))
+        path = tmp_path_factory.mktemp("records") / "records.jsonl"
+        path.write_text("".join(f"{line}\n" for line in lines))
+        try:
+            want = [mc._walked_record(json.loads(line)) for line in lines]
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                mc.read_records(path)
+            assert str(got.value) == f"line {j + 1}: {exc}"
+        else:
+            assert list(map(record_fields, mc.read_records(path))) == list(
+                map(record_fields, want))
+
 
 class TestEstimateMarginals:
     def test_frequency_arithmetic(self):
@@ -359,6 +487,16 @@ class TestEstimateMarginals:
         records = mc.simulate_acquisition(state16, small_settings(), 100, seed=3)
         with pytest.raises(ValueError, match="phase"):
             mc.estimate_marginals(records[:-1])
+
+    @pytest.mark.parametrize("position", ["appended", "in-place-of-6"])
+    def test_repeated_phase_named(self, state16, position):
+        records = mc.simulate_acquisition(state16, small_settings(), 100, seed=3)
+        if position == "appended":
+            records.append(dataclasses.replace(records[5]))
+        else:
+            records[6] = dataclasses.replace(records[5])
+        with pytest.raises(ValueError, match="^phase 5: the phase index repeats$"):
+            mc.estimate_marginals(records)
 
     def test_mixed_settings_rejected(self, state16):
         a = mc.simulate_acquisition(state16, small_settings(), 100, seed=3)
