@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import montecarlo, states, tomography, trapsim, wigner
+# dependency order, as the package root imported them; a desk session's peak RSS depends on it
+from . import states, tomography, montecarlo, wigner, trapsim
 from .tomography import SingularSystemError, TomographySettings
 
 EXIT_OK = 0
@@ -158,76 +159,70 @@ def _read_json_object(path):
 # subcommands
 # ----------------------------------------------------------------------
 
-def cmd_metrics(config, args):
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with output_lock(outdir):
-        table = states.metric_sweep(args.alpha_min, args.alpha_max, args.steps)
-        alpha_star = states.fidelity_threshold()
-        star_row = np.array([states.metric_row(alpha_star)])
-        pos = int(np.searchsorted(table[:, 0], alpha_star))
-        table = np.insert(table, pos, star_row, axis=0)
-        csv_path = outdir / "metrics.csv"
-        states.write_metrics_csv(
-            csv_path,
-            table,
-            comments=_stamp_comments(config) + [f"fidelity_threshold_alpha={alpha_star:.17g}"],
-        )
-        meta = {
-            "fidelity_threshold_alpha": alpha_star,
-            "classical_fidelity": states.CLASSICAL_FIDELITY,
-            "rows": int(table.shape[0]),
-            "monotonicity": states.sweep_monotonicity(table),
-            **_stamp(config),
-        }
-        (outdir / "metrics_meta.json").write_text(json.dumps(meta))
+def cmd_metrics(config, args, outdir):
+    table = states.metric_sweep(args.alpha_min, args.alpha_max, args.steps)
+    alpha_star = states.fidelity_threshold()
+    star_row = np.array([states.metric_row(alpha_star)])
+    pos = int(np.searchsorted(table[:, 0], alpha_star))
+    table = np.insert(table, pos, star_row, axis=0)
+    csv_path = outdir / "metrics.csv"
+    states.write_metrics_csv(
+        csv_path,
+        table,
+        comments=_stamp_comments(config) + [f"fidelity_threshold_alpha={alpha_star:.17g}"],
+    )
+    meta = {
+        "fidelity_threshold_alpha": alpha_star,
+        "classical_fidelity": states.CLASSICAL_FIDELITY,
+        "rows": int(table.shape[0]),
+        "monotonicity": states.sweep_monotonicity(table),
+        **_stamp(config),
+    }
+    (outdir / "metrics_meta.json").write_text(json.dumps(meta))
     print(f"wrote {csv_path} ({table.shape[0]} rows); threshold alpha = {alpha_star:.4f}")
     return EXIT_OK
 
 
-def cmd_simulate(config, args):
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with output_lock(outdir):
-        targets = [_record_path(outdir, i) for i in range(3)] + [outdir / "manifest.json"]
-        if not args.force:
-            existing = [str(p) for p in targets if p.exists()]
-            if existing:
-                raise ConfigError(
-                    f"refusing to overwrite {', '.join(existing)}; pass --force to allow"
-                )
-        files = []
-        # one state object, so the three groups share one forward pass
-        truth = config.truth_state() if config.backend == "density" else None
-        for i, angles in enumerate(tomography.standard_setting_angles()):
-            settings = config.settings(*angles)
-            if config.backend == "trap":
-                records = trapsim.simulate_trap_acquisition(
-                    config.alpha, settings, config.events_per_phase, config.seed,
-                    dim=config.cutoff, setting_index=i,
-                )
-            else:
-                records = montecarlo.simulate_acquisition(
-                    truth, settings, config.events_per_phase, config.seed, setting_index=i,
-                )
-            path = _record_path(outdir, i)
-            montecarlo.write_records(path, records)
-            files.append(
-                {
-                    "path": path.name,
-                    "group": SETTING_GROUP_NAMES[i],
-                    "theta": angles[0],
-                    "phi_spin": angles[1],
-                    "sha256": _sha256(path),
-                }
+def cmd_simulate(config, args, outdir):
+    targets = [_record_path(outdir, i) for i in range(3)] + [outdir / "manifest.json"]
+    if not args.force:
+        existing = [str(p) for p in targets if p.exists()]
+        if existing:
+            raise ConfigError(
+                f"refusing to overwrite {', '.join(existing)}; pass --force to allow"
             )
-        manifest = {
-            "config_text": config.to_text(),
-            "backend": config.backend,
-            "files": files,
-            **_stamp(config),
-        }
-        (outdir / "manifest.json").write_text(json.dumps(manifest))
+    files = []
+    # one state object, so the three groups share one forward pass
+    truth = config.truth_state() if config.backend == "density" else None
+    for i, angles in enumerate(tomography.standard_setting_angles()):
+        settings = config.settings(*angles)
+        if config.backend == "trap":
+            records = trapsim.simulate_trap_acquisition(
+                config.alpha, settings, config.events_per_phase, config.seed,
+                dim=config.cutoff, setting_index=i,
+            )
+        else:
+            records = montecarlo.simulate_acquisition(
+                truth, settings, config.events_per_phase, config.seed, setting_index=i,
+            )
+        path = _record_path(outdir, i)
+        montecarlo.write_records(path, records)
+        files.append(
+            {
+                "path": path.name,
+                "group": SETTING_GROUP_NAMES[i],
+                "theta": angles[0],
+                "phi_spin": angles[1],
+                "sha256": _sha256(path),
+            }
+        )
+    manifest = {
+        "config_text": config.to_text(),
+        "backend": config.backend,
+        "files": files,
+        **_stamp(config),
+    }
+    (outdir / "manifest.json").write_text(json.dumps(manifest))
     print(f"wrote {len(files)} record groups and manifest to {outdir}")
     return EXIT_OK
 
@@ -263,111 +258,104 @@ def _check_manifest(config, records_dir):
             )
 
 
-def cmd_reconstruct(config, args):
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_reconstruct(config, args, outdir):
     records_dir = Path(args.records) if args.records else outdir
-    with output_lock(outdir):
-        base = config.settings()
-        truth = config.truth_state()
-        if args.exact:
-            datas = [
-                tomography.exact_marginal_data(truth, config.settings(*angles))
-                for angles in tomography.standard_setting_angles()
-            ]
-        else:
-            _check_manifest(config, records_dir)
-            datas = _load_marginals(config, records_dir)
-        estimate = tomography.reconstruct_full(datas, base)
-        report = tomography.error_report(estimate, truth) if args.truth else None
-        extra = {
-            "backend": config.backend,
-            "exact_marginals": bool(args.exact),
-            "truth_comparison": report,
-            **_stamp(config),
-        }
-        out_path = outdir / "reconstruction.json"
-        tomography.write_estimate_json(out_path, estimate, extra)
-        lines = [
-            f"reconstruction written to {out_path}",
-            f"trace(uu) = {np.trace(estimate.uu.values).real:+.6f}"
-            f"  trace(dd) = {np.trace(estimate.dd.values).real:+.6f}",
-            f"trace(ud) = {np.trace(estimate.ud.values):+.6f}",
-            "order  sigma_max      cond(G^T G) dropped",
+    base = config.settings()
+    truth = config.truth_state()
+    if args.exact:
+        datas = [
+            tomography.exact_marginal_data(truth, config.settings(*angles))
+            for angles in tomography.standard_setting_angles()
         ]
-        for diag in estimate.uu.orders:
-            lines.append(
-                f"r={diag['r']:<4d} {diag['sigma_max']:<13.4e} {diag['cond']:<11.3e}"
-                f" {diag['dropped']}"
-            )
-        if report is not None:
-            for name in ("uu", "dd", "ud"):
-                lines.append(
-                    f"block {name}: max |error| = {report[name]['max_abs_error']:.3e},"
-                    f" within 3 sigma = {report[name]['within_3sigma']:.3f}"
-                )
-            lines.append(f"pooled within 3 sigma = {report['pooled_within_3sigma']:.4f}")
-        summary = "\n".join(lines) + "\n"
-        (outdir / "summary.txt").write_text(
-            f"# config_hash={config.config_hash()} seed={config.seed}\n" + summary
+    else:
+        _check_manifest(config, records_dir)
+        datas = _load_marginals(config, records_dir)
+    estimate = tomography.reconstruct_full(datas, base)
+    report = tomography.error_report(estimate, truth) if args.truth else None
+    extra = {
+        "backend": config.backend,
+        "exact_marginals": bool(args.exact),
+        "truth_comparison": report,
+        **_stamp(config),
+    }
+    out_path = outdir / "reconstruction.json"
+    tomography.write_estimate_json(out_path, estimate, extra)
+    lines = [
+        f"reconstruction written to {out_path}",
+        f"trace(uu) = {np.trace(estimate.uu.values).real:+.6f}"
+        f"  trace(dd) = {np.trace(estimate.dd.values).real:+.6f}",
+        f"trace(ud) = {np.trace(estimate.ud.values):+.6f}",
+        "order  sigma_max      cond(G^T G) dropped",
+    ]
+    for diag in estimate.uu.orders:
+        lines.append(
+            f"r={diag['r']:<4d} {diag['sigma_max']:<13.4e} {diag['cond']:<11.3e}"
+            f" {diag['dropped']}"
         )
+    if report is not None:
+        for name in ("uu", "dd", "ud"):
+            lines.append(
+                f"block {name}: max |error| = {report[name]['max_abs_error']:.3e},"
+                f" within 3 sigma = {report[name]['within_3sigma']:.3f}"
+            )
+        lines.append(f"pooled within 3 sigma = {report['pooled_within_3sigma']:.4f}")
+    summary = "\n".join(lines) + "\n"
+    (outdir / "summary.txt").write_text(
+        f"# config_hash={config.config_hash()} seed={config.seed}\n" + summary
+    )
     print(summary, end="")
     return EXIT_OK
 
 
-def cmd_wigner(config, args):
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with output_lock(outdir):
-        re_axis, im_axis = wigner.default_axes(
-            config.alpha, re_pad=args.re_pad, spacing=args.spacing, im_extent=args.im_extent
+def cmd_wigner(config, args, outdir):
+    re_axis, im_axis = wigner.default_axes(
+        config.alpha, re_pad=args.re_pad, spacing=args.spacing, im_extent=args.im_extent
+    )
+    truth = config.truth_state()
+    sources = {}
+    if args.source in ("true", "both"):
+        sources["true"] = {name: getattr(truth, name) for name in wigner.BLOCK_NAMES}
+    if args.source in ("recon", "both"):
+        recon_path = Path(args.reconstruction) if args.reconstruction else outdir / "reconstruction.json"
+        if not recon_path.exists():
+            raise ConfigError(f"no reconstruction file at {recon_path}")
+        try:
+            estimate, _ = tomography.load_estimate_json(recon_path)
+        except ValueError as exc:
+            raise ConfigError(f"{recon_path}: {exc}") from exc
+        st = estimate.to_state()
+        sources["recon"] = {name: getattr(st, name) for name in wigner.BLOCK_NAMES}
+    # one displacement table serves every source's blocks
+    named = {(tag, name): b for tag, blocks in sources.items() for name, b in blocks.items()}
+    joint = wigner.wigner_grid(named, re_axis, im_axis)
+    grids = {}
+    meta = {"spacing": args.spacing, **_stamp(config)}
+    for tag, blocks in sources.items():
+        grid = replace(joint, blocks={n: joint.blocks[tag, n] for n in blocks},
+                       meta=dict(joint.meta))
+        grid.check_normalization({name: np.trace(blocks[name]) for name in ("uu", "dd", "ud")})
+        grids[tag] = grid
+        path = outdir / f"wigner_{tag}.csv"
+        wigner.write_grid_csv(path, grid, comments=_stamp_comments(config))
+        x, y = grid.line_profile("uu", 0.0)
+        meta[tag] = {
+            "normalization_ok": grid.meta.get("normalization_ok"),
+            "normalization": grid.meta.get("normalization"),
+            "uu_profile_maxima": wigner.profile_maxima(x, y.real),
+            "file": path.name,
+        }
+    if len(grids) == 2:
+        gap = max(
+            float(np.max(np.abs(grids["true"].blocks[n] - grids["recon"].blocks[n])))
+            for n in wigner.BLOCK_NAMES
         )
-        truth = config.truth_state()
-        sources = {}
-        if args.source in ("true", "both"):
-            sources["true"] = {name: getattr(truth, name) for name in wigner.BLOCK_NAMES}
-        if args.source in ("recon", "both"):
-            recon_path = Path(args.reconstruction) if args.reconstruction else outdir / "reconstruction.json"
-            if not recon_path.exists():
-                raise ConfigError(f"no reconstruction file at {recon_path}")
-            try:
-                estimate, _ = tomography.load_estimate_json(recon_path)
-            except ValueError as exc:
-                raise ConfigError(f"{recon_path}: {exc}") from exc
-            st = estimate.to_state()
-            sources["recon"] = {name: getattr(st, name) for name in wigner.BLOCK_NAMES}
-        # one displacement table serves every source's blocks
-        named = {(tag, name): b for tag, blocks in sources.items() for name, b in blocks.items()}
-        joint = wigner.wigner_grid(named, re_axis, im_axis)
-        grids = {}
-        meta = {"spacing": args.spacing, **_stamp(config)}
-        for tag, blocks in sources.items():
-            grid = replace(joint, blocks={n: joint.blocks[tag, n] for n in blocks},
-                           meta=dict(joint.meta))
-            grid.check_normalization({name: np.trace(blocks[name]) for name in ("uu", "dd", "ud")})
-            grids[tag] = grid
-            path = outdir / f"wigner_{tag}.csv"
-            wigner.write_grid_csv(path, grid, comments=_stamp_comments(config))
-            x, y = grid.line_profile("uu", 0.0)
-            meta[tag] = {
-                "normalization_ok": grid.meta.get("normalization_ok"),
-                "normalization": grid.meta.get("normalization"),
-                "uu_profile_maxima": wigner.profile_maxima(x, y.real),
-                "file": path.name,
-            }
-        if len(grids) == 2:
-            gap = max(
-                float(np.max(np.abs(grids["true"].blocks[n] - grids["recon"].blocks[n])))
-                for n in wigner.BLOCK_NAMES
-            )
-            meta["max_pointwise_gap"] = gap
-        (outdir / "wigner_meta.json").write_text(json.dumps(meta))
+        meta["max_pointwise_gap"] = gap
+    (outdir / "wigner_meta.json").write_text(json.dumps(meta))
     print(f"wigner export complete: {', '.join(sorted(grids))} -> {outdir}")
     return EXIT_OK
 
 
-def cmd_verify(config, args):
-    outdir = Path(args.out)
+def cmd_verify(config, args, outdir):
     manifest_path = outdir / "manifest.json"
     problems = []
     checked = 0
@@ -472,7 +460,6 @@ _COMMANDS = {
     "simulate": cmd_simulate,
     "reconstruct": cmd_reconstruct,
     "wigner": cmd_wigner,
-    "verify": cmd_verify,
 }
 
 
@@ -482,15 +469,17 @@ def run(argv=None):
     config = RunConfig.from_file(args.config) if args.config else RunConfig().validate()
     if args.seed is not None:
         config = replace(config, seed=args.seed).validate()
-    return _COMMANDS[args.command](config, args)
+    outdir = Path(args.out)
+    if args.command == "verify":  # reads only: no directory made, no lock taken
+        return cmd_verify(config, args, outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    with output_lock(outdir):
+        return _COMMANDS[args.command](config, args, outdir)
 
 
 def main(argv=None):
     try:
         return run(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except SingularSystemError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -32,6 +32,7 @@ this contract for both backends.  Seeds are non-negative integers, the only
 ones a record line can carry.
 """
 
+import itertools
 import json
 import math
 import operator
@@ -87,16 +88,9 @@ class MeasurementRecord:
     def from_json(cls, line):
         """Parse one record line; every field is required, integer fields and
         counts must be JSON integers, setting angles and |beta| finite JSON
-        numbers, and a missing or malformed field raises a ValueError naming
-        it."""
-        obj = json.loads(line)
-        if _plain(obj):
-            try:
-                return _plain_record(obj, *[np.array(obj[name], dtype=np.int64)
-                                            for name in _COUNT_FIELDS])
-            except OverflowError:  # a count outside int64, which the walk names
-                pass
-        return _walked_record(obj)
+        numbers, counts and overflow within int64, and a missing or malformed
+        field raises a ValueError naming it."""
+        return _walked_record(json.loads(line))
 
 
 _RECORD_LINE = (
@@ -123,7 +117,8 @@ def _plain(obj):
     One expression instead of a call per field; any other line goes through
     ``_walked_record``, which accepts what it accepts (a setting ``dict()``
     can build, say) and names the first bad field.  A plain line can still
-    hold an integer outside int64, which building its count array finds.
+    hold a count or overflow outside int64, which ``read_records`` finds when
+    it builds their arrays.
     """
     try:
         angles = _ANGLES(obj["setting"])
@@ -181,6 +176,11 @@ def _number(value):
     return float(value)
 
 
+def _int64(value):
+    # an overflow bin fits int64, as every entry of a count list must
+    return int(np.int64(_integer(value)))
+
+
 def _count_list(value):
     if type(value) is not list or not set(map(type, value)) <= {int}:
         raise ValueError("not a list of integer counts")
@@ -196,13 +196,14 @@ _RECORD_FIELDS = (
     ("seed", _integer),
     ("counts_up", _count_list),
     ("counts_down", _count_list),
-    ("overflow_up", _integer),
-    ("overflow_down", _integer),
+    ("overflow_up", _int64),
+    ("overflow_down", _int64),
 )
-_COUNT_FIELDS = ("counts_up", "counts_down")
+#: the fields of which read_records builds one int64 array per file, counts first
+_INT64_FIELDS = ("counts_up", "counts_down", "overflow_up", "overflow_down")
 _ANGLES = operator.itemgetter(*_SETTING_FIELDS)
 _INTEGERS = operator.itemgetter(
-    *[name for name, convert in _RECORD_FIELDS if convert is _integer]
+    *[name for name, convert in _RECORD_FIELDS if convert is not _count_list]
 )
 
 
@@ -215,12 +216,13 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
-def _nonnegative_int(value, name):
-    # a numpy integer becomes an int; None, bools, floats and negatives are refused
+def _int_argument(value, name, least=0):
+    # a numpy integer becomes an int; None, bools, floats and values below least are refused
     if isinstance(value, np.integer):
         value = int(value)
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
+    if type(value) is not int or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, not {value!r}")
     return value
 
 
@@ -293,11 +295,13 @@ def sample_records(settings, events_per_phase, seed, setting_index, weights, win
     the phase's stream draws how many events each component gets, then one
     multinomial over each such component's cells: spin-up counts, spin-down
     counts, then the down and up overflow bins.  seed and setting_index must
-    be non-negative integers (a numpy integer is taken as its int); any
-    other seed raises a ValueError before a draw.
+    be non-negative integers and events_per_phase a positive one (a numpy
+    integer is taken as its int); any other value raises a ValueError before
+    a draw.
     """
-    seed = _nonnegative_int(seed, "seed")
-    setting_index = _nonnegative_int(setting_index, "setting_index")
+    events_per_phase = _int_argument(events_per_phase, "events_per_phase", least=1)
+    seed = _int_argument(seed, "seed")
+    setting_index = _int_argument(setting_index, "setting_index")
     weights = np.asarray(weights, dtype=float)
     win = window.shape[-1]
     cells = np.concatenate(
@@ -358,15 +362,15 @@ def read_records(path):
     """Records of a JSON-lines file; a bad line raises a ValueError naming its number."""
     with open(path) as fh:
         lines = fh.readlines()
-    # a file of plain lines with equal-length counts builds one count array
-    # per spin; any other file goes line by line, which names its first bad line
+    # a file of plain lines builds one int64 array per count and overflow field (the
+    # overflow arrays only check the bound); any other file goes line by line
     try:
         objs = [json.loads(line) for line in lines if line.strip()]
         if all(map(_plain, objs)):
             counts = [np.array([obj[name] for obj in objs], dtype=np.int64)
-                      for name in _COUNT_FIELDS]
-            return list(map(_plain_record, objs, *counts))
-    except (ValueError, OverflowError):  # bad JSON, ragged counts, a count outside int64
+                      for name in _INT64_FIELDS]
+            return list(map(_plain_record, objs, *counts[:2]))
+    except (ValueError, OverflowError):  # bad JSON, ragged counts, an entry outside int64
         pass
     records = []
     for lineno, line in enumerate(lines, start=1):
@@ -408,12 +412,14 @@ def estimate_marginals(records):
         if not same:
             raise ValueError(f"phase {rec.phase_index}: records mix different settings or seeds")
     seen = sorted(rec.phase_index for rec in records)
-    if seen != list(range(first.n_phases)):
+    # the length first: n_phases comes from the file and sizes nothing here
+    if len(seen) != first.n_phases or seen != list(range(first.n_phases)):
         repeated = [j for j, after in zip(seen, seen[1:]) if j == after]
         if repeated:
             raise ValueError(f"phase {repeated[0]}: the phase index repeats")
-        missing = sorted(set(range(first.n_phases)) - set(seen))
-        raise ValueError(f"incomplete phase coverage; missing phase indices {missing[:8]}")
+        missing = itertools.filterfalse(set(seen).__contains__, range(first.n_phases))
+        raise ValueError(f"incomplete phase coverage; missing phase indices"
+                         f" {list(itertools.islice(missing, 8))}")
     if first.total_events < 1:
         raise ValueError(f"total_events = {first.total_events}; a phase needs at least 1 event")
     # cells[s, j] holds the counts of spin outcome s at phase j, then its overflow

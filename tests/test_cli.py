@@ -214,10 +214,11 @@ class TestSimulateReconstruct:
             (lambda rec: rec["setting"].update(theta="0.5"), "setting.theta"),
             (lambda rec: rec["setting"].update(beta_abs=True), "setting.beta_abs"),
             (lambda rec: rec["setting"].update(phi_spin=float("nan")), "setting.phi_spin"),
+            (lambda rec: rec.update(overflow_up=2**70), "malformed field 'overflow_up'"),
         ],
         ids=["missing-counts", "null-setting", "missing-overflow", "array-line",
              "float-index", "non-integer-counts", "bool-overflow", "string-theta",
-             "bool-beta", "nan-phi-spin"],
+             "bool-beta", "nan-phi-spin", "overflow-outside-int64"],
     )
     def test_malformed_record_line_rejected(self, tmp_path, config_path, capsys,
                                             corrupt, field):
@@ -655,11 +656,33 @@ class TestExitCodes:
     def test_bad_subcommand_is_validation(self):
         assert run_cli("frobnicate") == EXIT_VALIDATION
 
-    def test_locked_directory_is_io_error(self, tmp_path, config_path):
+    @pytest.mark.parametrize("command", ["metrics", "simulate", "reconstruct", "wigner"])
+    def test_locked_directory_is_io_error(self, tmp_path, config_path, command):
         out = tmp_path / "run"
         out.mkdir()
         (out / cli.LOCK_NAME).write_text("held")
-        assert run_cli("--config", config_path, "--out", out, "metrics") == EXIT_IO
+        assert run_cli("--config", config_path, "--out", out, command) == EXIT_IO
+        assert [p.name for p in out.iterdir()] == [cli.LOCK_NAME]
+        assert (out / cli.LOCK_NAME).read_text() == "held"
+
+    def test_verify_of_a_missing_directory_creates_nothing(self, tmp_path, config_path, capsys):
+        out = tmp_path / "absent"
+        assert run_cli("--config", config_path, "--out", out, "verify") == EXIT_VALIDATION
+        assert "nothing to verify" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_module_entry_point(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = [sys.executable, "-m", "wernerlike"]
+        done = subprocess.run(run + ["--out", str(tmp_path), "metrics"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert (tmp_path / "metrics.csv").is_file()
+        done = subprocess.run(run + ["bogus"], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == EXIT_VALIDATION
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
     def test_singular_system_maps_to_numerical_exit(self, monkeypatch, tmp_path, config_path):
         from wernerlike.tomography import SingularSystemError

@@ -203,6 +203,24 @@ class TestPhaseSeeding:
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             mc.simulate_acquisition(state16, small_settings(), 100, seed=seed)
 
+    @pytest.mark.parametrize("events", [None, True, 100.0, 0, -5],
+                             ids=["none", "bool", "float", "zero", "negative"])
+    def test_event_count_a_record_cannot_hold_refused(self, state16, monkeypatch, events):
+        def no_generator(*args):
+            raise AssertionError("a generator was built before the event count was checked")
+
+        monkeypatch.setattr(np.random, "PCG64", no_generator)
+        with pytest.raises(ValueError, match="events_per_phase must be a positive integer"):
+            mc.simulate_acquisition(state16, small_settings(), events, seed=1)
+
+    def test_numpy_integer_event_count_is_taken_as_its_int(self, state16, tmp_path):
+        got = mc.simulate_acquisition(state16, small_settings(), np.int64(100), seed=1)
+        want = mc.simulate_acquisition(state16, small_settings(), 100, seed=1)
+        assert all(type(rec.total_events) is int for rec in got)
+        mc.write_records(tmp_path / "got.jsonl", got)
+        mc.write_records(tmp_path / "want.jsonl", want)
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
     def test_negative_setting_index_refused(self, state16):
         # its words would never run out: the check comes before the seeding
         with pytest.raises(ValueError, match="setting_index must be a non-negative integer"):
@@ -270,6 +288,26 @@ class TestRecords:
         obj[field] = value
         with pytest.raises(ValueError, match=f"malformed field '{field}'"):
             mc.MeasurementRecord.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 2**70])
+    @pytest.mark.parametrize("field", ["overflow_up", "overflow_down"])
+    def test_overflow_outside_int64_named(self, state16, tmp_path, field, value):
+        lines = [rec.to_json() for rec in
+                 mc.simulate_acquisition(state16, small_settings(), 100, seed=1)]
+        obj = json.loads(lines[2])
+        obj[field] = value
+        lines[2] = json.dumps(obj)
+        message = f"malformed field '{field}': {value}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mc.MeasurementRecord.from_json(lines[2])
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(f"{line}\n" for line in lines))  # every line plain: the batch
+        with pytest.raises(ValueError, match=f"^line 3: {message}$"):
+            mc.read_records(path)
+        lines[5] = "[]"  # a line that is not plain: the line-by-line walk
+        path.write_text("".join(f"{line}\n" for line in lines))
+        with pytest.raises(ValueError, match=f"^line 3: {message}$"):
+            mc.read_records(path)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -438,17 +476,23 @@ class TestRecordProperties:
 
     @hypothesis.settings(max_examples=400)
     @given(records(), st.sampled_from(FIELD_PATHS), replacements)
-    def test_one_pass_check_agrees_with_the_field_walk(self, rec, path, value):
-        # from_json returns the walk's record or raises the walk's message
+    def test_one_pass_check_agrees_with_the_field_walk(self, tmp_path_factory, rec, path,
+                                                       value):
+        # read_records of a one-line file, whose plain line takes the one-pass
+        # check (_plain, _plain_record), returns the walk's record or raises
+        # the walk's message
         line = edited_line(rec, path, value)
+        records_path = tmp_path_factory.mktemp("line") / "records.jsonl"
+        records_path.write_text(f"{line}\n")
         try:
             want = mc._walked_record(json.loads(line))
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
-                mc.MeasurementRecord.from_json(line)
-            assert str(got.value) == str(exc)
+                mc.read_records(records_path)
+            assert str(got.value) == f"line 1: {exc}"
         else:
-            assert record_fields(mc.MeasurementRecord.from_json(line)) == record_fields(want)
+            got = mc.read_records(records_path)
+            assert list(map(record_fields, got)) == [record_fields(want)]
 
     @hypothesis.settings(max_examples=200)
     @given(record_groups(), st.data())
@@ -487,6 +531,20 @@ class TestEstimateMarginals:
         records = mc.simulate_acquisition(state16, small_settings(), 100, seed=3)
         with pytest.raises(ValueError, match="phase"):
             mc.estimate_marginals(records[:-1])
+
+    @pytest.mark.parametrize(
+        "n_phases, missing",
+        [(25, [24]), (2**62, list(range(24, 32)))],
+        ids=["one-more", "huge"],
+    )
+    def test_claimed_phase_count_sizes_nothing(self, state16, n_phases, missing):
+        # 24 records that claim more phases: the first 8 missing indices are named
+        records = mc.simulate_acquisition(state16, small_settings(), 100, seed=3)
+        for rec in records:
+            rec.n_phases = n_phases
+        with pytest.raises(ValueError) as got:
+            mc.estimate_marginals(records)
+        assert str(got.value) == f"incomplete phase coverage; missing phase indices {missing}"
 
     @pytest.mark.parametrize("position", ["appended", "in-place-of-6"])
     def test_repeated_phase_named(self, state16, position):
