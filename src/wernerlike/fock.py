@@ -18,11 +18,12 @@ points:
   it runs the degree recurrence along rows only, on a (short, wide, batch)
   array, copies the lower triangle from the upper one, and multiplies in the
   log-factorial prefactor, one exp in (batch, rows, cols).
-* ``displacement_matrix`` gives complex blocks for one beta or a batch: the
-  kernel's tables times the phase factors e^{i(m-n) arg beta}.
+* ``displacement_matrix`` gives the complex block of one beta: the kernel's
+  table times the phase factors e^{i(m-n) arg beta}.
 * ``displaced_support`` finds the rows K that displaced number states m <=
   n_top need and returns the (n_top + 1, K) table it accepted, which the
-  forward marginals and the inversion of a design both fold.
+  forward marginals, the inversion of a design and the trap readout, all
+  phases at once, fold.
 
 Against the closed form in mpmath, the real table's largest absolute error
 is 1e-15 at |beta|^2 = 91 for 32 x 32 (the default Wigner grid's corner,
@@ -154,24 +155,20 @@ def displacement_amplitudes_batch(xs, n_rows, n_cols):
 
 
 def displacement_matrix(beta, n_rows, n_cols):
-    """Rectangular block of <m|D(beta)|n> for complex beta, or for a 1-D array
-    of beta the stack of blocks, shape (len(beta), n_rows, n_cols).
+    """Rectangular block of <m|D(beta)|n> for one complex beta.
 
     Phase convention: <m|D(x e^{i phi})|n> = <m|D(x)|n> e^{i(m-n) phi}.  A
     square block is the truncated operator, unitary up to leakage in its last
-    rows and columns.  The kernel runs once per distinct |beta|, and each
-    phase factor is raised once to every m - n; a block is bit for bit the
-    same whichever batch it comes from.
+    rows and columns.  A beta that is not a scalar raises a ValueError.
     """
-    betas = [complex(b) for b in np.atleast_1d(beta)]
-    xs = [abs(b) for b in betas]
-    distinct = sorted(set(xs))
-    tables = displacement_amplitudes_batch(distinct, n_rows, n_cols)
-    phases = np.array([b / x if b != x else 1.0 for b, x in zip(betas, xs)], dtype=complex)
-    powers = phases[:, None] ** np.arange(1 - n_cols, n_rows)
-    out = np.take(powers, np.arange(n_rows)[:, None] - np.arange(n_cols) + n_cols - 1, axis=1)
-    out *= tables[[distinct.index(x) for x in xs]]
-    return out if np.ndim(beta) else out[0]
+    if np.ndim(beta):
+        raise ValueError(f"beta must be one complex number, got shape {np.shape(beta)}")
+    beta = complex(beta)
+    x = abs(beta)
+    f = displacement_amplitudes_batch([x], n_rows, n_cols)[0].astype(complex)
+    if beta != x:  # anything but a nonnegative real displacement
+        f *= (beta / x) ** (np.arange(n_rows)[:, None] - np.arange(n_cols))
+    return f
 
 
 def displaced_support(n_top, beta_abs, tol=1e-13):

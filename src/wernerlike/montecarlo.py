@@ -386,10 +386,10 @@ def estimate_marginals(records):
     """Frequency estimates w_est = counts/events with var = w_est/events.
 
     Rejects, with a ValueError naming the phase index, records that mix
-    settings or seeds, miss or repeat a phase, carry counts_up and
-    counts_down of unequal length or negative counts, or whose counts plus
-    overflow differ from total_events; and records with total_events < 1,
-    which estimate nothing.
+    settings or seeds, miss or repeat a phase or have one outside
+    0..n_phases-1, carry counts_up and counts_down of unequal length or
+    negative counts, or whose counts plus overflow differ from total_events;
+    and records with total_events < 1, which estimate nothing.
     """
     if not records:
         raise ValueError("no records given")
@@ -414,6 +414,10 @@ def estimate_marginals(records):
     seen = sorted(rec.phase_index for rec in records)
     # the length first: n_phases comes from the file and sizes nothing here
     if len(seen) != first.n_phases or seen != list(range(first.n_phases)):
+        outside = [j for j in seen if not 0 <= j < first.n_phases]
+        if outside:
+            raise ValueError(f"phase {outside[0]}: index outside 0..{first.n_phases - 1}"
+                             f" (n_phases = {first.n_phases})")
         repeated = [j for j, after in zip(seen, seen[1:]) if j == after]
         if repeated:
             raise ValueError(f"phase {repeated[0]}: the phase index repeats")

@@ -13,9 +13,10 @@ sigma3 component in its generator), so its sequence has three pulses; the
 result matches the target with global phase exactly 1.
 
 The trap backend evolves each component through the measurement pulses, all
-phases of a group in one batched ``fock.displacement_matrix`` call, and folds
-its ideal projective (sigma3, n) readout through the detector efficiency;
-``montecarlo.sample_records`` draws the records from the mixture.
+phases of a group through the one real table ``fock.displaced_support``
+returns, and folds its ideal projective (sigma3, n) readout through the
+detector efficiency; ``montecarlo.sample_records`` draws the records from the
+mixture.
 """
 
 import warnings
@@ -25,13 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import montecarlo
-from .fock import (
-    SPIN_DOWN,
-    SPIN_UP,
-    displacement_matrix,
-    displaced_support,
-    spin_rotation,
-)
+from .fock import SPIN_DOWN, SPIN_UP, displaced_support, displacement_matrix, spin_rotation
 from .tomography import binomial_matrix, detected_window
 
 __all__ = [
@@ -78,8 +73,8 @@ def apply_pulse(amplitudes, pulse):
     elif isinstance(pulse, ConditionalDisplacement):
         plus = (amplitudes[SPIN_UP] + amplitudes[SPIN_DOWN]) / _SQRT2
         minus = (amplitudes[SPIN_UP] - amplitudes[SPIN_DOWN]) / _SQRT2
-        d_plus, d_minus = displacement_matrix([pulse.alpha, -pulse.alpha], dim, dim)
-        vp, vm = d_plus @ plus, d_minus @ minus
+        vp = displacement_matrix(pulse.alpha, dim, dim) @ plus
+        vm = displacement_matrix(-pulse.alpha, dim, dim) @ minus
         out = np.stack([(vp - vm) / _SQRT2, (vp + vm) / _SQRT2])
     else:
         raise TypeError(f"unknown pulse type {type(pulse).__name__}")
@@ -148,21 +143,25 @@ def simulate_trap_acquisition(alpha, settings, events_per_phase, seed, dim=32,
     """Record files from the pulse-level backend, drop-in compatible with the
     density-operator simulator.
 
-    Each phase's detected tables come from the pulse-evolved amplitudes of
-    all five components; pre-measurement pulses are D(-beta_j) then the
-    inverse spin rotation.  The records are drawn from the mixture of those
-    tables with the component weights.
+    Phase j measures the five pulse-evolved components after D(-beta_j) and
+    the inverse spin rotation; the records are drawn from the mixture of their
+    detected tables with the component weights.  With f = ``displaced_support(
+    dim - 1, |beta|)``, <k|D(-beta_j)|m> = f[m, k] e^{i(k-m) phi_j}: the
+    rotation (spin axis only) goes first, level m takes e^{-i m phi_j}, and two
+    real products with f serve every phase.  e^{i k phi_j} is common to both
+    spin rows of level k, so it drops out of |.|^2 and is never formed.
     """
     amps = np.stack([component_state(lbl, alpha, dim) for lbl in COMPONENT_LABELS])
-    rows = displaced_support(dim - 1, settings.beta_abs).shape[1]
-    smear = binomial_matrix(settings.eta, settings.n_max + 1, rows)
-    u_inv = spin_rotation(-settings.theta, settings.phi_spin)
-    # moved[j, c] = u_inv @ amps[c] @ D(beta_j)^T, stacked over the per-matrix
-    # products of one phase at a time: one flattened product rounds differently
-    betas = -(settings.beta_abs * np.exp(1j * settings.phases))
-    moved = u_inv @ (amps @ displacement_matrix(betas, rows, dim).swapaxes(1, 2)[:, None])
-    window, overflow = detected_window(np.abs(moved.transpose(1, 2, 0, 3)) ** 2, smear)
+    f = displaced_support(dim - 1, settings.beta_abs)
+    smear = binomial_matrix(settings.eta, settings.n_max + 1, f.shape[1])
+    rotated = spin_rotation(-settings.theta, settings.phi_spin) @ amps
+    turns = np.exp(-1j * np.multiply.outer(settings.phases, np.arange(dim)))
+    # phased[c, s, j] @ f: D(-beta_j) on component c's spin row s, up to e^{i k phi_j}
+    phased = rotated[:, :, None] * turns
+    wide = (phased.real @ f) ** 2
+    wide += (phased.imag @ f) ** 2
+    window, overflow = detected_window(wide, smear)
+    del phased, wide  # freed before sampling, which sets the group's allocation peak
     return montecarlo.sample_records(
         settings, events_per_phase, seed, setting_index, COMPONENT_WEIGHTS, window, overflow
     )
-

@@ -78,17 +78,6 @@ def support_axis0(n_top, beta_abs, tol=1e-13):
     return None
 
 
-def phased_table(beta, n_rows, n_cols):
-    """Reference: the real table of |beta| times (beta/|beta|)^(m-n), one beta
-    at a time."""
-    beta = complex(beta)
-    x = abs(beta)
-    f = fock.displacement_amplitudes_batch([x], n_rows, n_cols)[0].astype(complex)
-    if beta != x:
-        f *= (beta / x) ** (np.arange(n_rows)[:, None] - np.arange(n_cols))
-    return f
-
-
 def expm_displacement(beta, dim):
     """Independent displacement operator via the matrix exponential."""
     a = np.diag(np.sqrt(np.arange(1, dim)), k=1)
@@ -179,6 +168,13 @@ class TestDisplacementElement:
         with pytest.raises(ValueError):
             fock.displacement_matrix(0.1, -1, 1)
 
+    @pytest.mark.parametrize(
+        "beta", [[0.6, -0.6], np.array([0.6j]), np.zeros((2, 2))], ids=["list", "1-d", "2-d"]
+    )
+    def test_rejects_non_scalar_beta(self, beta):
+        with pytest.raises(ValueError, match=r"^beta must be one complex number, got shape \("):
+            fock.displacement_matrix(beta, 4, 4)
+
 
 class TestDisplacementOperator:
     def test_low_column_norms(self):
@@ -210,26 +206,6 @@ class TestDisplacementOperator:
         f = fock.displacement_matrix(beta, 64, 9)
         sums = np.sum(np.abs(f) ** 2, axis=0)
         np.testing.assert_allclose(sums, 1.0, atol=1e-8)
-
-    @pytest.mark.parametrize(
-        "betas",
-        [
-            [0.0, 0.6, -0.6],
-            [0.6, 0.6j, -0.6j, 0.6 * np.exp(2.1j), 0.6],
-            [0.3 - 0.2j, 0.0, 1.7, -2.3 + 0.1j],
-            -(0.6 * np.exp(2j * np.pi * np.arange(96) / 96)),
-        ],
-        ids=["zero-and-real", "repeated-abs", "complex", "phase-grid"],
-    )
-    def test_batch_equals_stacked_scalar_calls(self, kernel_calls, betas):
-        # one kernel call for the batch, and each block bit for bit the
-        # block a scalar call gives, which is the per-beta phased table
-        batch = fock.displacement_matrix(betas, 50, 32)
-        assert kernel_calls == [(50, 32)]
-        scalar = np.stack([fock.displacement_matrix(beta, 50, 32) for beta in betas])
-        assert batch.shape == (len(betas), 50, 32)
-        assert np.array_equal(batch, scalar)
-        assert np.array_equal(scalar, [phased_table(beta, 50, 32) for beta in betas])
 
     def test_amplitudes_at_wigner_grid_corner(self):
         # Wigner maps evaluate D(2 gamma); the default grid corner

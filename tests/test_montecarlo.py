@@ -546,6 +546,21 @@ class TestEstimateMarginals:
             mc.estimate_marginals(records)
         assert str(got.value) == f"incomplete phase coverage; missing phase indices {missing}"
 
+    @pytest.mark.parametrize(
+        "indices, message",
+        [((0, 1, 2), "phase 2: index outside 0..1 (n_phases = 2)"),
+         ((-1, 0), "phase -1: index outside 0..1 (n_phases = 2)"),
+         ((0, 5), "phase 5: index outside 0..1 (n_phases = 2)")],
+        ids=["past-the-end", "negative", "in-place-of-1"],
+    )
+    def test_index_outside_the_phase_count_named(self, state16, indices, message):
+        records = mc.simulate_acquisition(state16, small_settings(), 100, seed=3)[:len(indices)]
+        for rec, j in zip(records, indices):
+            rec.phase_index, rec.n_phases = j, 2
+        with pytest.raises(ValueError) as got:
+            mc.estimate_marginals(records)
+        assert str(got.value) == message
+
     @pytest.mark.parametrize("position", ["appended", "in-place-of-6"])
     def test_repeated_phase_named(self, state16, position):
         records = mc.simulate_acquisition(state16, small_settings(), 100, seed=3)

@@ -24,8 +24,8 @@ class TestPulses:
 
     def test_conditional_displacement_splits_on_sigma1(self, kernel_calls):
         out = ts.apply_pulse(spin_up_vacuum(32), ts.ConditionalDisplacement(0.7))
-        # one batched kernel call serves D(+alpha) and D(-alpha)
-        assert kernel_calls == [(32, 32)]
+        # one scalar displacement_matrix call each for D(+alpha) and D(-alpha)
+        assert kernel_calls == [(32, 32), (32, 32)]
         plus = fock.coherent_state(0.7, 32)
         minus = fock.coherent_state(-0.7, 32)
         # (|+>|a> + |->|-a>)/sqrt(2) with |+-> = (|up> +- |down>)/sqrt(2)
@@ -182,32 +182,37 @@ class TestTrapAcquisition:
         assert hits / total >= 0.98
 
     @pytest.mark.parametrize("angles", tg.standard_setting_angles())
-    def test_phase_tables_equal_displacement_matrix(self, angles, monkeypatch):
-        # the batched tables the trap builds are the per-phase D(beta_j)
-        # blocks bit for bit
+    def test_sampler_tables_equal_per_phase_reference(self, angles, monkeypatch):
+        # the per-component tables the sampler receives are those of the
+        # per-phase route: D(-beta_j) blocks, the inverse rotation, |.|^2
         settings = tg.TomographySettings(
             theta=0.0, phi_spin=0.0, beta_abs=0.6,
             n_phases=96, n_max=31, n_cutoff=31, eta=0.9,
         ).with_angles(*angles)
         dim = 32
-        rows = fock.displaced_support(dim - 1, settings.beta_abs).shape[1]
-        batches = []
+        captured = {}
 
-        def record(betas, n_rows, n_cols):
-            out = fock.displacement_matrix(betas, n_rows, n_cols)
-            if np.ndim(betas):
-                batches.append(out)
-            return out
+        def capture(settings, events, seed, setting_index, weights, window, overflow):
+            captured.update(window=window, overflow=overflow)
+            return []
 
-        monkeypatch.setattr(ts, "displacement_matrix", record)
-        monkeypatch.setattr(mc, "sample_records", lambda *args: [])
+        monkeypatch.setattr(mc, "sample_records", capture)
         ts.simulate_trap_acquisition(0.7, settings, 100, seed=1, dim=dim)
-        # the conditional displacements' two-beta batches come first
-        tables = batches[-1]
-        assert tables.shape == (96, rows, dim)
-        for j, phase in enumerate(settings.phases):
-            beta = -(settings.beta_abs * np.exp(1j * phase))
-            assert np.array_equal(tables[j], fock.displacement_matrix(beta, rows, dim)), j
+        amps = np.stack([ts.component_state(lbl, 0.7, dim) for lbl in ts.COMPONENT_LABELS])
+        rows = fock.displaced_support(dim - 1, settings.beta_abs).shape[1]
+        u_inv = fock.spin_rotation(-settings.theta, settings.phi_spin)
+        moved = np.stack([
+            u_inv @ (amps @ fock.displacement_matrix(-settings.beta_abs * np.exp(1j * phase),
+                                                     rows, dim).T)
+            for phase in settings.phases
+        ])
+        window, overflow = tg.detected_window(
+            np.abs(moved.transpose(1, 2, 0, 3)) ** 2,
+            tg.binomial_matrix(settings.eta, settings.n_max + 1, rows),
+        )
+        assert captured["window"].shape == window.shape == (5, 2, 96, 32)
+        np.testing.assert_allclose(captured["window"], window, rtol=0, atol=2e-15)
+        np.testing.assert_allclose(captured["overflow"], overflow, rtol=0, atol=2e-15)
 
     @pytest.mark.parametrize("angles", tg.standard_setting_angles())
     def test_mixture_tables_match_density_model(self, angles, monkeypatch):
