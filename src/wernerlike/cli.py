@@ -287,7 +287,7 @@ def cmd_reconstruct(config, args, outdir):
         f"trace(ud) = {np.trace(estimate.ud.values):+.6f}",
         "order  sigma_max      cond(G^T G) dropped",
     ]
-    for diag in estimate.uu.orders:
+    for diag in estimate.orders:
         lines.append(
             f"r={diag['r']:<4d} {diag['sigma_max']:<13.4e} {diag['cond']:<11.3e}"
             f" {diag['dropped']}"
@@ -300,9 +300,8 @@ def cmd_reconstruct(config, args, outdir):
             )
         lines.append(f"pooled within 3 sigma = {report['pooled_within_3sigma']:.4f}")
     summary = "\n".join(lines) + "\n"
-    (outdir / "summary.txt").write_text(
-        f"# config_hash={config.config_hash()} seed={config.seed}\n" + summary
-    )
+    stamp = "".join(f"# {line}\n" for line in _stamp_comments(config))
+    (outdir / "summary.txt").write_text(stamp + summary)
     print(summary, end="")
     return EXIT_OK
 
@@ -395,7 +394,7 @@ def cmd_verify(config, args, outdir):
             checked += 1
             if payload["config_hash"] != expected:
                 problems.append(f"{path.name}: config_hash mismatch")
-    for path in sorted(outdir.glob("*.csv")):
+    for path in sorted([*outdir.glob("*.csv"), *outdir.glob("*.txt")]):
         with path.open() as fh:
             head = [fh.readline().rstrip("\n") for _ in range(4)]
         stamps = [line for line in head if line.startswith("# config_hash=")]

@@ -5,8 +5,8 @@ Two representations of the same family are provided:
 
 * a 4x4 two-qubit density matrix in the product basis
   {|dd>, |du>, |ud>, |uu>} (first index = subsystem 1, index 0 = down);
-* a hybrid spin (x) oscillator operator stored as four truncated Fock-space
-  blocks rho_uu, rho_ud, rho_du, rho_dd.
+* a hybrid spin (x) oscillator operator stored as truncated Fock-space
+  blocks rho_uu, rho_ud, rho_dd, with rho_du = rho_ud^dagger derived.
 
 The two pictures are isometric: replacing the coherent pair |--a>, |+a> by
 |down>, |psi> with <psi|down> = kappa = exp(-2 a^2) preserves all overlaps,
@@ -14,7 +14,7 @@ hence spectra, entropy and purity.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,26 +71,29 @@ class BracketError(ValueError):
 class HybridState:
     """Spin (x) truncated-oscillator density operator stored blockwise.
 
-    Blocks are <s| rho |s'> as (dim, dim) arrays; ``du`` must equal the
-    conjugate transpose of ``ud``.  The state holds read-only copies of the
-    blocks it is given.  ``tomography.smeared_marginal_tables`` memoizes one
-    design's forward pass, the tables of all three setting groups, per state
-    object (equality and hashing are by identity), so neither a write through
-    the state, which raises, nor a write into an array passed in can leave a
-    stale entry.  Pass one state object for every group of an acquisition:
-    an equal state built anew computes the pass again.
+    Blocks are <s| rho |s'> as (dim, dim) arrays.  The state holds read-only
+    copies of the ``uu``, ``ud`` and ``dd`` it is given, and ``du`` is set
+    once as ud^dagger, not passed.  ``tomography.smeared_marginal_tables``
+    memoizes one design's forward pass, the tables of all three setting
+    groups, per state object (equality and hashing are by identity), so
+    neither a write through the state, which raises, nor a write into an
+    array passed in can leave a stale entry.  Pass one state object for every
+    group of an acquisition: an equal state built anew computes it again.
     """
 
     uu: np.ndarray
     ud: np.ndarray
-    du: np.ndarray
     dd: np.ndarray
+    du: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("uu", "ud", "du", "dd"):
+        for name in ("uu", "ud", "dd"):
             block = np.array(getattr(self, name))
             block.setflags(write=False)
             object.__setattr__(self, name, block)
+        du = self.ud.conj().T
+        du.setflags(write=False)
+        object.__setattr__(self, "du", du)
 
     @property
     def dim(self):
@@ -98,9 +101,7 @@ class HybridState:
 
     @classmethod
     def from_blocks(cls, uu, ud, dd):
-        ud = np.asarray(ud, dtype=complex)
-        return cls(uu=np.asarray(uu, dtype=complex), ud=ud, du=ud.conj().T,
-                   dd=np.asarray(dd, dtype=complex))
+        return cls(*(np.asarray(block, dtype=complex) for block in (uu, ud, dd)))
 
     def to_matrix(self):
         """Dense (2 dim, 2 dim) matrix with index s*dim + n, s=0 down."""
@@ -116,8 +117,6 @@ class HybridState:
         return complex(np.trace(self.uu) + np.trace(self.dd))
 
     def validate(self):
-        if np.max(np.abs(self.du - self.ud.conj().T)) > 1e-12:
-            raise ValueError("du block is not the conjugate transpose of ud")
         tr = self.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr} deviates from 1")

@@ -165,23 +165,6 @@ class MarginalData:
     def n_max(self):
         return self.w.shape[-1] - 1
 
-    def check_matches(self, settings):
-        problems = []
-        for name, mine, theirs in (
-            ("theta", self.theta, settings.theta),
-            ("phi_spin", self.phi_spin, settings.phi_spin),
-            ("beta_abs", self.beta_abs, settings.beta_abs),
-        ):
-            if abs(mine - theirs) > 1e-9:
-                problems.append(f"{name}: data {mine!r} vs settings {theirs!r}")
-        if self.n_phases != settings.n_phases:
-            problems.append(f"n_phases: data {self.n_phases} vs settings {settings.n_phases}")
-        if self.n_max != settings.n_max:
-            problems.append(f"n_max: data {self.n_max} vs settings {settings.n_max}")
-        if problems:
-            raise ValueError("marginal data inconsistent with settings: " + "; ".join(problems))
-        return self
-
 
 # ----------------------------------------------------------------------
 # forward model
@@ -271,20 +254,22 @@ def smeared_marginal_tables(state, settings):
     smearing with eta, overflow[s, j] the detected mass beyond n_max.  Both
     are read-only.
 
-    The first call for a design (the settings without theta and phi_spin)
-    computes the tables of all three standard setting groups in one pass, and
-    the other groups' calls read it; settings at other angles run the pass
-    for their own group alone.  One pass is memoized, keyed on the state
-    object and the design.  A HybridState hashes by identity and holds
-    read-only copies of its blocks, and the entry keeps its state alive, so a
-    key cannot be reused by another state; an equal state built anew computes
-    its tables again.
+    The first call for a design (beta_abs, n_phases, n_max and eta, the
+    settings the pass reads) computes the tables of all three standard
+    setting groups in one pass, and the other groups' calls read it; settings
+    at other angles run the pass for their own group alone.  One pass is
+    memoized, keyed on the state object and the design, so settings that
+    differ only in n_cutoff share it.  A HybridState hashes by identity and
+    holds read-only copies of its blocks, and the entry keeps its state
+    alive, so a key cannot be reused by another state; an equal state built
+    anew computes its tables again.
     """
     angles = (settings.theta, settings.phi_spin)
     groups = standard_setting_angles()
     if angles not in groups:
         groups = (angles,)
-    window, overflow = _design_tables(state, settings.with_angles(0.0, 0.0), groups)
+    design = replace(settings, theta=0.0, phi_spin=0.0, n_cutoff=0)
+    window, overflow = _design_tables(state, design, groups)
     g = groups.index(angles)
     return window[g], overflow[g]
 
@@ -380,14 +365,12 @@ class BlockEstimate:
     """Reconstructed block with per-element uncertainties.
 
     values is (n_cutoff+1)^2 complex; sigma_re/sigma_im are the standard
-    deviations of the real/imaginary parts.  orders carries
-    (r, sigma_max, cond, dropped) diagnostics per system.
+    deviations of the real/imaginary parts.
     """
 
     values: np.ndarray
     sigma_re: np.ndarray
     sigma_im: np.ndarray
-    orders: tuple
 
 
 def reconstruct_hermitian(w, variance, settings, systems=None):
@@ -449,30 +432,33 @@ def reconstruct_hermitian(w, variance, settings, systems=None):
 @dataclass
 class HybridEstimate:
     """Raw linear-inversion estimate of all four blocks (positivity is not
-    enforced)."""
+    enforced; rho_du is rho_ud^dagger).  orders holds the (r, sigma_max, cond,
+    dropped) diagnostics of each order of the inversion all blocks share."""
 
     uu: BlockEstimate
     dd: BlockEstimate
     ud: BlockEstimate
     settings: TomographySettings
-
-    def du_values(self):
-        return self.ud.values.conj().T
+    orders: tuple
 
     def to_state(self):
-        return HybridState(
-            uu=self.uu.values,
-            ud=self.ud.values,
-            du=self.du_values(),
-            dd=self.dd.values,
-        )
+        return HybridState(uu=self.uu.values, ud=self.ud.values, dd=self.dd.values)
 
 
 def _find_group(datas, settings, angles):
+    """The group of ``datas`` at ``angles``; a ValueError when none is, or
+    when its beta_abs, n_phases or n_max differ from the settings'."""
     theta, phi = angles
     for d in datas:
         if abs(d.theta - theta) <= 1e-9 and abs(d.phi_spin - phi) <= 1e-9:
-            return d.check_matches(settings.with_angles(theta, phi))
+            problems = [
+                f"{name}: data {getattr(d, name)!r} vs settings {getattr(settings, name)!r}"
+                for name in ("beta_abs", "n_phases", "n_max")
+                if abs(getattr(d, name) - getattr(settings, name)) > 1e-9
+            ]
+            if problems:
+                raise ValueError("marginal data inconsistent with settings: " + "; ".join(problems))
+            return d
     raise ValueError(
         f"missing record group with (theta, phi_spin) = ({theta:.6g}, {phi:.6g})"
     )
@@ -512,7 +498,6 @@ def reconstruct_full(datas, settings, systems=None):
             values=v,
             sigma_re=np.sqrt(np.clip(vr, 0.0, None)),
             sigma_im=np.sqrt(np.clip(vi, 0.0, None)),
-            orders=orders,
         )
 
     return HybridEstimate(
@@ -520,6 +505,7 @@ def reconstruct_full(datas, settings, systems=None):
         dd=block(values[1], var_re[1], var_im[1]),
         ud=block(ud, ud_re, ud_im),
         settings=base,
+        orders=orders,
     )
 
 
@@ -592,7 +578,7 @@ def write_estimate_json(path, estimate, extra=None):
             }
             for name, est in (("uu", estimate.uu), ("dd", estimate.dd), ("ud", estimate.ud))
         },
-        "orders": list(estimate.uu.orders),
+        "orders": list(estimate.orders),
     }
     if extra:
         payload.update(extra)
@@ -632,8 +618,8 @@ def load_estimate_json(path):
     """(HybridEstimate, payload) from a file written by write_estimate_json.
 
     A missing or malformed key raises a ValueError naming it, and a block
-    whose values, sigma_re or sigma_im are not (n_cutoff+1)^2 a ValueError
-    naming the block.
+    whose values, sigma_re or sigma_im are not (n_cutoff+1)^2 or hold a NaN
+    or an infinity a ValueError naming the block.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -655,7 +641,6 @@ def load_estimate_json(path):
             values=_entry(payload, f"blocks.{name}.values", _complex_pairs),
             sigma_re=_entry(payload, f"blocks.{name}.sigma_re", _float_array),
             sigma_im=_entry(payload, f"blocks.{name}.sigma_im", _float_array),
-            orders=orders,
         )
         shapes = (est.values.shape, est.sigma_re.shape, est.sigma_im.shape)
         if set(shapes) != {(cdim, cdim)}:
@@ -663,7 +648,9 @@ def load_estimate_json(path):
                 f"block '{name}': values, sigma_re and sigma_im have shapes {shapes},"
                 f" not ({cdim}, {cdim}) for n_cutoff {settings.n_cutoff}"
             )
+        if not all(np.isfinite(part).all() for part in (est.values, est.sigma_re, est.sigma_im)):
+            raise ValueError(f"block '{name}': values or sigmas hold a NaN or an infinity")
         return est
 
-    estimate = HybridEstimate(uu=block("uu"), dd=block("dd"), ud=block("ud"), settings=settings)
-    return estimate, payload
+    blocks = {name: block(name) for name in ("uu", "dd", "ud")}
+    return HybridEstimate(**blocks, settings=settings, orders=orders), payload

@@ -86,7 +86,7 @@ class WignerGrid:
         return self.re_axis, self.blocks[name][row]
 
     def check_normalization(self, expected_traces):
-        """Record grid integrals against block traces in meta; warn on a miss."""
+        """Record integrals against traces in meta; warn on a miss (a non-finite one too)."""
         checks = {}
         ok = True
         for name, expected in expected_traces.items():
@@ -96,8 +96,7 @@ class WignerGrid:
                 "integral": [got.real, got.imag],
                 "expected": [expected.real, expected.imag],
             }
-            if abs(got - expected) > NORMALIZATION_TOL:
-                ok = False
+            ok = ok and abs(got - expected) <= NORMALIZATION_TOL
         self.meta["normalization"] = checks
         self.meta["normalization_ok"] = ok
         if not ok:

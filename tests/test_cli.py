@@ -391,8 +391,8 @@ def test_outputs_match_pinned_hashes(tmp_path):
         assert order["cond"] == pytest.approx(system.cond, rel=1e-9, abs=0.0)
 
     estimate = tomography.HybridEstimate(
-        **{name: tomography.BlockEstimate(*ref[name]) for name in ("uu", "dd", "ud")},
-        settings=base,
+        **{name: tomography.BlockEstimate(*ref[name][:3]) for name in ("uu", "dd", "ud")},
+        settings=base, orders=ref["uu"][3],
     )
     report = payload["truth_comparison"]
     want = tomography.error_report(estimate, config.truth_state())
@@ -450,6 +450,11 @@ def _shrink_blocks(payload):
         block["sigma_re"] = [[0.0]]
 
 
+def _nan_value(payload):
+    # one real part of an estimate of finite shape
+    payload["blocks"]["uu"]["values"][2][1][0] = float("nan")
+
+
 @pytest.mark.parametrize(
     "corrupt, command, name",
     [
@@ -468,9 +473,12 @@ def _shrink_blocks(payload):
          "manifest.json"),
         (_edit_reconstruction(_shrink_blocks), ("wigner", "--source", "recon"),
          "reconstruction.json: block 'uu'"),
+        (_edit_reconstruction(_nan_value), ("wigner", "--source", "recon"),
+         "reconstruction.json: block 'uu'"),
     ],
     ids=["recon-without-eta", "recon-number-orders", "list-manifest-reconstruct", "list-manifest-verify",
-         "bare-number-json", "number-config-text", "number-file-entry", "recon-block-shape"],
+         "bare-number-json", "number-config-text", "number-file-entry", "recon-block-shape",
+         "recon-nan-value"],
 )
 def test_malformed_json_input_rejected(tmp_path, config_path, capsys, corrupt, command, name):
     out = tmp_path / "run"
@@ -575,6 +583,15 @@ class TestVerify:
         manifest["config_hash"] = "0" * 64
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert run_cli("--config", config_path, "--out", out, "verify") == EXIT_VALIDATION
+
+    def test_tampered_summary_stamp_detected(self, tmp_path, config_path, capsys):
+        out = tmp_path / "run"
+        run_cli("--config", config_path, "--out", out, "reconstruct", "--exact")
+        path = out / "summary.txt"
+        path.write_text(path.read_text().replace("# config_hash=", "# config_hash=0", 1))
+        capsys.readouterr()
+        assert run_cli("--config", config_path, "--out", out, "verify") == EXIT_VALIDATION
+        assert "summary.txt: config_hash mismatch" in capsys.readouterr().err
 
     def test_tampered_csv_stamp_detected(self, tmp_path, config_path, capsys):
         out = tmp_path / "run"

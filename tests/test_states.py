@@ -177,11 +177,13 @@ class TestHybridMixture:
         with pytest.raises(ValueError, match="alpha"):
             states.build_hybrid_mixture(alpha, 16)
 
-    def test_validate_rejects_bad_blocks(self):
+    def test_du_is_derived_from_ud(self):
         st = states.build_hybrid_mixture(0.5, 16)
-        broken = states.HybridState(uu=st.uu, ud=st.ud, du=st.ud, dd=st.dd)
-        with pytest.raises(ValueError):
-            broken.validate()
+        assert st.du.tobytes() == st.ud.conj().T.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            st.du[0, 0] = 0.0
+        with pytest.raises(TypeError, match="du"):
+            states.HybridState(uu=st.uu, ud=st.ud, du=st.ud.conj().T, dd=st.dd)
 
 
 class TestMappedQubit:

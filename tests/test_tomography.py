@@ -27,9 +27,7 @@ def random_hybrid(rng, dim):
     a = rng.normal(size=(2 * dim, 2 * dim)) + 1j * rng.normal(size=(2 * dim, 2 * dim))
     full = a @ a.conj().T
     full /= np.trace(full)
-    return states.HybridState(
-        uu=full[dim:, dim:], ud=full[dim:, :dim], du=full[:dim, dim:], dd=full[:dim, :dim]
-    )
+    return states.HybridState(uu=full[dim:, dim:], ud=full[dim:, :dim], dd=full[:dim, :dim])
 
 
 def ref_order_operator(f, r):
@@ -173,7 +171,7 @@ class TestMarginal:
         tables = tg.ideal_marginal_tables(hybrid07, settings, f)[0]
         pad = [(0, rows - 32), (0, rows - 32)]
         wide = states.HybridState(
-            **{name: np.pad(getattr(hybrid07, name), pad) for name in ("uu", "ud", "du", "dd")}
+            **{name: np.pad(getattr(hybrid07, name), pad) for name in ("uu", "ud", "dd")}
         )
         for j, phase in enumerate(settings.phases):
             beta = 0.6 * np.exp(1j * phase)
@@ -419,7 +417,7 @@ class TestReconstruction:
         assert np.max(np.abs(est.uu.values - hybrid07.uu)) < 1e-8
         assert np.max(np.abs(est.dd.values - hybrid07.dd)) < 1e-8
         assert np.max(np.abs(est.ud.values - hybrid07.ud)) < 1e-6
-        np.testing.assert_allclose(est.du_values(), est.ud.values.conj().T)
+        np.testing.assert_array_equal(est.to_state().du, est.ud.values.conj().T)
 
     def test_noiseless_identity_with_efficiency(self, hybrid07):
         base = settings_full(eta=0.9)
@@ -540,7 +538,7 @@ class TestErrorReport:
         small = states.build_hybrid_mixture(0.7, 14)
         padded = states.HybridState(**{
             name: np.pad(getattr(small, name), [(0, 18), (0, 18)])
-            for name in ("uu", "ud", "du", "dd")
+            for name in ("uu", "ud", "dd")
         })
         assert tg.error_report(est, small) == tg.error_report(est, padded)
 
@@ -568,7 +566,7 @@ class TestScalarParts:
             values = values + values.conj().T
         est = tg.BlockEstimate(
             values=values, sigma_re=rng.uniform(size=(n, n)),
-            sigma_im=rng.uniform(size=(n, n)), orders=(),
+            sigma_im=rng.uniform(size=(n, n)),
         )
         truth = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         parts = tg.scalar_parts(est, truth, hermitian)
@@ -590,7 +588,7 @@ class TestSerialization:
                 np.testing.assert_array_equal(
                     getattr(getattr(loaded, name), part), getattr(getattr(est, name), part)
                 )
-            assert getattr(loaded, name).orders == est.uu.orders
+        assert loaded.orders == est.orders
         assert loaded.settings == est.settings
         again = tmp_path / "again.json"
         tg.write_estimate_json(again, loaded, extra={"config_hash": "deadbeef"})
@@ -632,7 +630,7 @@ class TestForwardTableCache:
     def test_equal_state_built_anew_computes_again(self, kernel_calls):
         state, settings = states.build_hybrid_mixture(0.7, 16), settings_16(eta=0.9)
         window, overflow = tg.smeared_marginal_tables(state, settings)
-        twin = states.HybridState(uu=state.uu, ud=state.ud, du=state.du, dd=state.dd)
+        twin = states.HybridState(uu=state.uu, ud=state.ud, dd=state.dd)
         kernel_calls.clear()
         twin_window, twin_overflow = tg.smeared_marginal_tables(twin, settings)
         assert len(kernel_calls) == 1 and twin_window is not window
@@ -642,7 +640,7 @@ class TestForwardTableCache:
     def test_tables_and_state_blocks_are_read_only(self):
         truth = states.build_hybrid_mixture(0.7, 16)
         uu = np.array(truth.uu)
-        state = states.HybridState(uu=uu, ud=truth.ud, du=truth.du, dd=truth.dd)
+        state = states.HybridState(uu=uu, ud=truth.ud, dd=truth.dd)
         settings = settings_16(eta=0.9)
         window, overflow = tg.smeared_marginal_tables(state, settings)
         for array in (window, overflow, state.uu, state.ud, state.du, state.dd):
@@ -666,6 +664,14 @@ class TestForwardTableCache:
         info = tg._design_tables.cache_info()
         assert info.maxsize == info.currsize == 1
 
+    def test_cutoff_alone_reuses_the_pass(self, hybrid07):
+        # the pass reads |beta|, n_phases, n_max and eta, not n_cutoff
+        tg._design_tables.cache_clear()
+        for n_cutoff in (31, 4, 31):
+            tg.smeared_marginal_tables(hybrid07, replace(settings_full(), n_cutoff=n_cutoff))
+        info = tg._design_tables.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+
     def test_inversion_cache_is_bounded(self):
         for beta_abs in np.linspace(0.3, 1.2, 10):
             tg.inversion_systems(replace(settings_16(), beta_abs=float(beta_abs)))
@@ -681,10 +687,10 @@ class TestForwardTableCache:
                 array[0] = 0.0
         datas = exact_datas(states.build_hybrid_mixture(0.7, 16), settings)
         first = tg.reconstruct_full(datas, settings)
-        want = tuple(dict(order) for order in first.uu.orders)
-        first.uu.orders[0]["cond"] = -1.0
-        first.uu.orders[3]["dropped"] = 99
-        assert tg.reconstruct_full(datas, settings).uu.orders == want
+        want = tuple(dict(order) for order in first.orders)
+        first.orders[0]["cond"] = -1.0
+        first.orders[3]["dropped"] = 99
+        assert tg.reconstruct_full(datas, settings).orders == want
 
 
 def count_searches(monkeypatch):
@@ -712,7 +718,7 @@ class TestStackedForwardTables:
         rest = [tg.smeared_marginal_tables(state, settings) for settings in groups[1:]]
         assert kernel_calls == [] and len(searches) == 1
         # a fresh state with equal blocks computes again
-        twin = states.HybridState(uu=state.uu, ud=state.ud, du=state.du, dd=state.dd)
+        twin = states.HybridState(uu=state.uu, ud=state.ud, dd=state.dd)
         again = [tg.smeared_marginal_tables(twin, settings) for settings in groups]
         assert len(searches) == 2 and len(kernel_calls) == 1
         for got, want in zip(again, [first, *rest]):
@@ -877,4 +883,4 @@ class TestPerBlockReference:
             for got, want in ((block.values, values), (block.sigma_re, sigma_re),
                               (block.sigma_im, sigma_im)):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-            assert block.orders == orders
+            assert est.orders == orders

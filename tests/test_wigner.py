@@ -230,6 +230,15 @@ class TestWignerGrid:
         residual = np.linalg.norm(target - basis @ coef) / np.linalg.norm(target)
         assert residual > 0.2
 
+    def test_non_finite_integral_is_a_miss(self, grid07):
+        blocks = {name: grid07.blocks[name].copy() for name in ("uu", "dd")}
+        blocks["uu"][0, 0] = np.nan
+        grid = wg.WignerGrid(grid07.re_axis, grid07.im_axis, blocks)
+        with pytest.warns(UserWarning, match="grid integrals"):
+            grid.check_normalization({"uu": 0.5, "dd": 0.5})
+        assert grid.meta["normalization_ok"] is False
+        assert np.isnan(grid.meta["normalization"]["uu"]["integral"]).all()
+
     def test_coverage_warning_on_small_grid(self, hybrid07):
         grid = wg.wigner_grid(hybrid07, np.arange(-0.5, 0.55, 0.25), np.arange(-0.5, 0.55, 0.25))
         with pytest.warns(UserWarning, match="grid"):
