@@ -2,8 +2,10 @@
 
 Configuration is a flat key = value text file; unknown keys are rejected.
 Every output file embeds the sha256 hash of the canonical config text plus
-the seed, and ``manifest.json`` lists the sha256 of each record file;
-``verify`` re-derives and checks those hashes.
+the seed, and ``manifest.json`` lists the sha256 of each record file.
+``verify`` checks every output's stamp against the run's config hash and
+rehashes the manifest's config text and record files; ``reconstruct`` and
+``wigner`` reject an input stamped for another run.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 numerical failure.
 """
@@ -243,18 +245,15 @@ def _load_marginals(config, records_dir):
     return datas
 
 
-def _check_manifest(config, records_dir):
-    """Reject records whose manifest was written for another run config."""
-    path = records_dir / "manifest.json"
-    if not path.exists():
-        return
-    manifest = _read_json_object(path)
+def _check_stamp(config, path, payload):
+    """Reject an input, the records' manifest or an estimate, whose stamp
+    names another run's seed, backend or config hash."""
     expected = {"seed": config.seed, "backend": config.backend,
                 "config_hash": config.config_hash()}
     for key, value in expected.items():
-        if manifest.get(key) != value:
+        if payload.get(key) != value:
             raise ConfigError(
-                f"{path}: {key} {manifest.get(key)!r} does not match the run's {value!r}"
+                f"{path}: {key} {payload.get(key)!r} does not match the run's {value!r}"
             )
 
 
@@ -268,7 +267,9 @@ def cmd_reconstruct(config, args, outdir):
             for angles in tomography.standard_setting_angles()
         ]
     else:
-        _check_manifest(config, records_dir)
+        manifest = records_dir / "manifest.json"
+        if manifest.exists():
+            _check_stamp(config, manifest, _read_json_object(manifest))
         datas = _load_marginals(config, records_dir)
     estimate = tomography.reconstruct_full(datas, base)
     report = tomography.error_report(estimate, truth) if args.truth else None
@@ -319,9 +320,10 @@ def cmd_wigner(config, args, outdir):
         if not recon_path.exists():
             raise ConfigError(f"no reconstruction file at {recon_path}")
         try:
-            estimate, _ = tomography.load_estimate_json(recon_path)
+            estimate, payload = tomography.load_estimate_json(recon_path)
         except ValueError as exc:
             raise ConfigError(f"{recon_path}: {exc}") from exc
+        _check_stamp(config, recon_path, payload)
         st = estimate.to_state()
         sources["recon"] = {name: getattr(st, name) for name in wigner.BLOCK_NAMES}
     # one displacement table serves every source's blocks
@@ -355,53 +357,46 @@ def cmd_wigner(config, args, outdir):
 
 
 def cmd_verify(config, args, outdir):
-    manifest_path = outdir / "manifest.json"
+    """Check every JSON, CSV and text output's stamp against the run's config
+    hash, and the manifest's config_text and record files."""
     problems = []
     checked = 0
-    if manifest_path.exists():
-        manifest = _read_json_object(manifest_path)
-        text, files = manifest.get("config_text", ""), manifest.get("files", [])
-        if not isinstance(text, str):
-            raise ConfigError(f"{manifest_path}: config_text must be a string")
-        if not (isinstance(files, list) and all(isinstance(e, dict) for e in files)):
-            raise ConfigError(f"{manifest_path}: files must be a list of objects")
-        rehash = hashlib.sha256(text.encode()).hexdigest()
+    for path in sorted([*outdir.glob("*.json"), *outdir.glob("*.csv"), *outdir.glob("*.txt")]):
         checked += 1
-        if rehash != manifest.get("config_hash"):
+        if path.suffix == ".json":
+            payload = _read_json_object(path)
+            stamp = payload.get("config_hash")
+        else:
+            with path.open() as fh:
+                head = [fh.readline().rstrip("\n").partition("=") for _ in range(4)]
+            stamp = next((value for key, _, value in head if key == "# config_hash"), None)
+        if stamp is None:
+            problems.append(f"{path.name}: config_hash missing")
+        elif stamp != config.config_hash():
+            problems.append(f"{path.name}: config_hash mismatch")
+        if path.name != "manifest.json":
+            continue
+        text, files = payload.get("config_text", ""), payload.get("files", [])
+        if not isinstance(text, str):
+            raise ConfigError(f"{path}: config_text must be a string")
+        if not (isinstance(files, list) and all(isinstance(e, dict) for e in files)):
+            raise ConfigError(f"{path}: files must be a list of objects")
+        if hashlib.sha256(text.encode()).hexdigest() != payload.get("config_hash"):
             problems.append("manifest config_hash does not match its config_text")
-        expected = manifest.get("config_hash")
         # only the run's own record files are hashed, each listed once
         names = [_record_path(outdir, i).name for i in range(3)]
         listed = [entry.get("path") for entry in files]
+        checked += len(files)
         for name in names:
             if listed.count(name) != 1:
                 problems.append(f"{name}: listed {listed.count(name)} times in the manifest")
         for entry, name in zip(files, listed):
-            checked += 1
             if not isinstance(name, str) or name in names and not (outdir / name).is_file():
                 problems.append(f"{name}: missing, listed in the manifest")
             elif name not in names:
                 problems.append(f"{name}: not a record file of this run, listed in the manifest")
             elif _sha256(outdir / name) != entry.get("sha256"):
                 problems.append(f"{name}: sha256 differs from the manifest's")
-    else:
-        expected = config.config_hash()
-    for path in sorted(outdir.glob("*.json")):
-        if path.name == "manifest.json":
-            continue
-        payload = _read_json_object(path)
-        if "config_hash" in payload:
-            checked += 1
-            if payload["config_hash"] != expected:
-                problems.append(f"{path.name}: config_hash mismatch")
-    for path in sorted([*outdir.glob("*.csv"), *outdir.glob("*.txt")]):
-        with path.open() as fh:
-            head = [fh.readline().rstrip("\n") for _ in range(4)]
-        stamps = [line for line in head if line.startswith("# config_hash=")]
-        if stamps:
-            checked += 1
-            if stamps[0].split("=", 1)[1] != expected:
-                problems.append(f"{path.name}: config_hash mismatch")
     if checked == 0:
         raise ConfigError(f"nothing to verify under {outdir}")
     if problems:

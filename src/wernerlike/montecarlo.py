@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import SPIN_DOWN, SPIN_UP
-from .tomography import MarginalData, smeared_marginal_tables
+from .tomography import MarginalData, _entry, smeared_marginal_tables
 
 __all__ = [
     "MeasurementRecord",
@@ -115,10 +115,9 @@ def _plain(obj):
     setting object of finite numbers, integers, and lists of integers.
 
     One expression instead of a call per field; any other line goes through
-    ``_walked_record``, which accepts what it accepts (a setting ``dict()``
-    can build, say) and names the first bad field.  A plain line can still
-    hold a count or overflow outside int64, which ``read_records`` finds when
-    it builds their arrays.
+    ``_walked_record``, which names the first bad field.  A plain line can
+    still hold a count or overflow outside int64, which ``read_records`` finds
+    when it builds their arrays.
     """
     try:
         angles = _ANGLES(obj["setting"])
@@ -144,22 +143,10 @@ def _plain_record(obj, counts_up, counts_down):
 
 def _walked_record(obj):
     # the field walk: every field converted on its own, the first bad one named
-    if not isinstance(obj, dict):
-        raise ValueError(f"a record must be a JSON object, not {type(obj).__name__}")
-    setting = _field(obj, "setting", dict)
     return MeasurementRecord(
-        *[_field(setting, name, _number, "setting.") for name in _SETTING_FIELDS],
-        *[_field(obj, name, convert) for name, convert in _RECORD_FIELDS],
+        *[_entry(obj, f"setting.{name}", _number) for name in _SETTING_FIELDS],
+        *[_entry(obj, name, convert) for name, convert in _RECORD_FIELDS],
     )
-
-
-def _field(obj, name, convert, prefix=""):
-    if name not in obj:
-        raise ValueError(f"missing field '{prefix}{name}'")
-    try:
-        return convert(obj[name])
-    except (OverflowError, TypeError, ValueError):
-        raise ValueError(f"malformed field '{prefix}{name}': {obj[name]!r:.40}") from None
 
 
 def _integer(value):

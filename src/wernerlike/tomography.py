@@ -587,17 +587,24 @@ def write_estimate_json(path, estimate, extra=None):
 
 
 def _entry(payload, key, convert):
-    """convert(payload[k1][k2]...) for the dotted ``key``; a ValueError naming
-    the key when it is missing, sits under a non-object, or fails to convert."""
-    obj = payload
+    """convert(payload[k1][k2]...) for the dotted ``key``, the one reader of
+    record-line and estimate fields.  A ValueError reads ``missing field``
+    for the first absent key, ``malformed field`` with the value for a
+    non-object parent or a failed conversion, or ``expected a JSON object``."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+    obj, name = payload, ""
     for part in key.split("."):
-        if not isinstance(obj, dict) or part not in obj:
-            raise ValueError(f"missing key '{key}'")
+        if not isinstance(obj, dict):
+            raise ValueError(f"malformed field '{name}': {obj!r:.40}")
+        name = f"{name}.{part}".lstrip(".")
+        if part not in obj:
+            raise ValueError(f"missing field '{name}'")
         obj = obj[part]
     try:
         return convert(obj)
-    except (IndexError, TypeError, ValueError):
-        raise ValueError(f"malformed key '{key}': {obj!r:.40}") from None
+    except (IndexError, OverflowError, TypeError, ValueError):
+        raise ValueError(f"malformed field '{key}': {obj!r:.40}") from None
 
 
 def _complex_pairs(value):
@@ -617,7 +624,7 @@ def _float_array(value):
 def load_estimate_json(path):
     """(HybridEstimate, payload) from a file written by write_estimate_json.
 
-    A missing or malformed key raises a ValueError naming it, and a block
+    A missing or malformed field raises a ValueError naming it, and a block
     whose values, sigma_re or sigma_im are not (n_cutoff+1)^2 or hold a NaN
     or an infinity a ValueError naming the block.
     """

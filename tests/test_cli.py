@@ -278,6 +278,17 @@ class TestSimulateReconstruct:
             out_b / "records_g0.jsonl"
         ).read_bytes()
 
+    def test_no_truth_skips_the_comparison(self, tmp_path, config_path, capsys):
+        out = tmp_path / "run"
+        for flags, compared in (((), True), (("--no-truth",), False)):
+            capsys.readouterr()
+            assert run_cli("--config", config_path, "--out", out, "--force",
+                           "reconstruct", "--exact", *flags) == EXIT_OK
+            printed = capsys.readouterr().out.splitlines()
+            report = json.loads((out / "reconstruction.json").read_text())["truth_comparison"]
+            assert (report is not None) == compared
+            assert any(line.startswith("block ") for line in printed) == compared
+
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
@@ -526,6 +537,23 @@ class TestManifestCheck:
         payload = json.loads((out / "reconstruction.json").read_text())
         assert payload["seed"] == 43
 
+    def test_records_of_another_directory(self, tmp_path, config_path, capsys):
+        # the records and the manifest checked are those of --records, not of --out
+        records, out = tmp_path / "records", tmp_path / "run"
+        run_cli("--config", config_path, "--out", records, "simulate")
+        run_cli("--config", config_path, "--out", records, "reconstruct")
+        run_cli("--config", config_path, "--seed", 43, "--out", out, "simulate")
+        assert run_cli("--config", config_path, "--out", out,
+                       "reconstruct", "--records", records) == EXIT_OK
+        assert (out / "reconstruction.json").read_bytes() == (
+            records / "reconstruction.json").read_bytes()
+        (out / "reconstruction.json").unlink()
+        capsys.readouterr()
+        assert run_cli("--config", config_path, "--seed", 43, "--out", out,
+                       "reconstruct", "--records", records) == EXIT_VALIDATION
+        assert f"{records / 'manifest.json'}: seed 42 does not match" in capsys.readouterr().err
+        assert not (out / "reconstruction.json").exists()
+
 
 def test_cli_import_needs_no_scipy():
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -568,6 +596,41 @@ class TestWignerCommand:
         code = run_cli("--config", config_path, "--out", out, "wigner", "--source", "recon")
         assert code == EXIT_VALIDATION
 
+    def test_estimate_of_another_config_rejected(self, tmp_path, capsys):
+        made, out = tmp_path / "made", tmp_path / "run"
+        assert run_cli("--out", made, "reconstruct", "--exact") == EXIT_OK
+        other = tmp_path / "other.cfg"
+        other.write_text("alpha = 0.5\n")
+        capsys.readouterr()
+        assert run_cli("--config", other, "--out", out, "wigner", "--source", "recon",
+                       "--reconstruction", made / "reconstruction.json") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "reconstruction.json" in err and "config_hash" in err
+        assert not list(out.glob("wigner_*"))
+
+    @pytest.mark.filterwarnings("ignore:grid integrals")  # coarse grid on purpose
+    def test_named_reconstruction_mapped(self, tmp_path, config_path):
+        made, out = tmp_path / "made", tmp_path / "run"
+        run_cli("--config", config_path, "--out", made, "reconstruct", "--exact")
+        args = ("wigner", "--source", "recon", "--spacing", 0.5)
+        assert run_cli("--config", config_path, "--out", made, *args) == EXIT_OK
+        assert run_cli("--config", config_path, "--out", out, *args,
+                       "--reconstruction", made / "reconstruction.json") == EXIT_OK
+        assert (out / "wigner_recon.csv").read_bytes() == (made / "wigner_recon.csv").read_bytes()
+        assert not (out / "reconstruction.json").exists()
+
+    @pytest.mark.filterwarnings("ignore:grid integrals")  # narrow grid on purpose
+    def test_re_pad_sets_the_re_half_width(self, tmp_path, config_path):
+        # alpha 0.7 + re_pad 0.55 = 1.25, five steps of 0.25; Im keeps its 3.0
+        out = tmp_path / "run"
+        assert run_cli("--config", config_path, "--out", out, "wigner",
+                       "--spacing", 0.25, "--re-pad", 0.55) == EXIT_OK
+        rows = [line.split(",") for line in (out / "wigner_true.csv").read_text().splitlines()
+                if not line.startswith("#")][1:]
+        re_values, im_values = ({float(row[k]) for row in rows} for k in (0, 1))
+        assert (min(re_values), max(re_values), len(re_values)) == (-1.25, 1.25, 11)
+        assert (min(im_values), max(im_values)) == (-3.0, 3.0)
+
 
 class TestVerify:
     def test_consistent_run_passes(self, tmp_path, config_path):
@@ -601,6 +664,39 @@ class TestVerify:
         path.write_text(text.replace("# config_hash=", "# config_hash=0", 1))
         assert run_cli("--config", config_path, "--out", out, "verify") == EXIT_VALIDATION
         assert "metrics.csv: config_hash mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, unstamp",
+        [
+            ("metrics.csv", lambda text: "".join(
+                line for line in text.splitlines(keepends=True)
+                if not line.startswith("# config_hash="))),
+            ("metrics_meta.json", lambda text: json.dumps(
+                {k: v for k, v in json.loads(text).items() if k != "config_hash"})),
+        ],
+        ids=["csv-comment", "json-key"],
+    )
+    def test_deleted_stamp_detected(self, tmp_path, config_path, capsys, name, unstamp):
+        out = tmp_path / "run"
+        run_cli("--config", config_path, "--out", out, "metrics", "--steps", 5)
+        path = out / name
+        path.write_text(unstamp(path.read_text()))
+        capsys.readouterr()
+        assert run_cli("--config", config_path, "--out", out, "verify") == EXIT_VALIDATION
+        assert f"{name}: config_hash missing" in capsys.readouterr().err
+
+    def test_run_of_another_seed_rejected(self, tmp_path, config_path, capsys):
+        # the manifest's own hash is consistent; the run's config is the reference
+        out = tmp_path / "run"
+        run_cli("--config", config_path, "--out", out, "simulate")
+        run_cli("--config", config_path, "--out", out, "metrics", "--steps", 5)
+        capsys.readouterr()
+        assert run_cli("--config", config_path, "--seed", 43, "--out", out,
+                       "verify") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        for name in ("manifest.json", "metrics.csv", "metrics_meta.json"):
+            assert f"{name}: config_hash mismatch" in err
+        assert "does not match its config_text" not in err
 
     def test_manifest_holds_record_hashes(self, tmp_path, config_path):
         out = tmp_path / "run"
@@ -668,6 +764,23 @@ class TestVerify:
         out = tmp_path / "nothing"
         out.mkdir()
         assert run_cli("--config", config_path, "--out", out, "verify") == EXIT_VALIDATION
+
+
+@pytest.mark.filterwarnings("ignore:grid integrals")  # the raw estimate's coarse surface
+@pytest.mark.parametrize("backend", ["density", "trap"])
+def test_pipeline_verifies_per_backend(tmp_path, capsys, backend):
+    # every stage in one directory; verify counts each output and each record file
+    path = tmp_path / "run.cfg"
+    path.write_text(SMALL_CONFIG.replace("backend = density", f"backend = {backend}"))
+    out = tmp_path / "run"
+    for stage in (("metrics",), ("simulate",), ("reconstruct",),
+                  ("wigner", "--source", "both", "--spacing", 0.5)):
+        assert run_cli("--config", path, "--out", out, *stage) == EXIT_OK
+    capsys.readouterr()
+    assert run_cli("--config", path, "--out", out, "verify") == EXIT_OK
+    outputs = [p for pattern in ("*.json", "*.csv", "*.txt") for p in out.glob(pattern)]
+    assert len(outputs) + 3 == 11
+    assert f"verify: {len(outputs) + 3} hash stamps consistent" in capsys.readouterr().out
 
 
 class TestExitCodes:

@@ -309,6 +309,20 @@ class TestRecords:
         with pytest.raises(ValueError, match=f"^line 3: {message}$"):
             mc.read_records(path)
 
+    def test_setting_of_name_value_pairs_rejected(self, state16, tmp_path):
+        # dict() builds a setting from [name, value] pairs; a record line must hold an object
+        lines = [rec.to_json() for rec in
+                 mc.simulate_acquisition(state16, small_settings(), 100, seed=1)]
+        obj = json.loads(lines[2])
+        obj["setting"] = [[name, value] for name, value in obj["setting"].items()]
+        lines[2] = json.dumps(obj)
+        with pytest.raises(ValueError, match="^malformed field 'setting': "):
+            mc.MeasurementRecord.from_json(lines[2])
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(f"{line}\n" for line in lines))
+        with pytest.raises(ValueError, match="^line 3: malformed field 'setting': "):
+            mc.read_records(path)
+
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 

@@ -601,7 +601,7 @@ class TestSerialization:
             ("dd", "sigma_re", lambda v: [[0.0]], "block 'dd'"),
             ("ud", "sigma_im", lambda v: v[:-1], "block 'ud'"),
             ("uu", "values", lambda v: [[[*pair, 0.0] for pair in row] for row in v],
-             "malformed key 'blocks.uu.values'"),
+             "malformed field 'blocks.uu.values'"),
         ],
         ids=["values-3x3", "sigma-1x1", "missing-row", "triple-parts"],
     )
