@@ -2,10 +2,10 @@
 
 Configuration is a flat key = value text file; unknown keys are rejected.
 Every output file embeds the sha256 hash of the canonical config text plus
-the seed, and ``manifest.json`` lists the sha256 of each record file.
-``verify`` checks every output's stamp against the run's config hash and
-rehashes the manifest's config text and record files; ``reconstruct`` and
-``wigner`` reject an input stamped for another run.
+the seed, and ``manifest.json`` lists each record file's path and sha256.
+``verify`` checks every output's stamp against the run's config hash;
+``verify`` and ``reconstruct`` rehash the manifest's config text and record
+files, and ``reconstruct`` and ``wigner`` reject an input stamped for another run.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 numerical failure.
 """
@@ -31,7 +31,6 @@ EXIT_IO = 2
 EXIT_NUMERICAL = 3
 
 LOCK_NAME = ".wernerlike.lock"
-SETTING_GROUP_NAMES = ("diagonal", "real-part", "imag-part")
 
 
 class ConfigError(ValueError):
@@ -209,15 +208,7 @@ def cmd_simulate(config, args, outdir):
             )
         path = _record_path(outdir, i)
         montecarlo.write_records(path, records)
-        files.append(
-            {
-                "path": path.name,
-                "group": SETTING_GROUP_NAMES[i],
-                "theta": angles[0],
-                "phi_spin": angles[1],
-                "sha256": _sha256(path),
-            }
-        )
+        files.append({"path": path.name, "sha256": _sha256(path)})
     manifest = {
         "config_text": config.to_text(),
         "backend": config.backend,
@@ -257,6 +248,32 @@ def _check_stamp(config, path, payload):
             )
 
 
+def _manifest_problems(path, payload):
+    """The problems of a records manifest: its config_text's hash, and records_g0..2.jsonl
+    beside it, each listed once, present and with its sha256; a ConfigError if malformed."""
+    text, files = payload.get("config_text", ""), payload.get("files", [])
+    if not isinstance(text, str):
+        raise ConfigError(f"{path}: config_text must be a string")
+    if not (isinstance(files, list) and all(isinstance(e, dict) for e in files)):
+        raise ConfigError(f"{path}: files must be a list of objects")
+    problems = []
+    if hashlib.sha256(text.encode()).hexdigest() != payload.get("config_hash"):
+        problems.append("manifest config_hash does not match its config_text")
+    names = [_record_path(path.parent, i).name for i in range(3)]
+    listed = [entry.get("path") for entry in files]
+    for name in names:
+        if listed.count(name) != 1:
+            problems.append(f"{name}: listed {listed.count(name)} times in the manifest")
+    for entry, name in zip(files, listed):
+        if not isinstance(name, str) or name in names and not (path.parent / name).is_file():
+            problems.append(f"{name}: missing, listed in the manifest")
+        elif name not in names:
+            problems.append(f"{name}: not a record file of this run, listed in the manifest")
+        elif _sha256(path.parent / name) != entry.get("sha256"):
+            problems.append(f"{name}: sha256 differs from the manifest's")
+    return problems
+
+
 def cmd_reconstruct(config, args, outdir):
     records_dir = Path(args.records) if args.records else outdir
     base = config.settings()
@@ -267,10 +284,14 @@ def cmd_reconstruct(config, args, outdir):
             for angles in tomography.standard_setting_angles()
         ]
     else:
+        # records parse first, so a broken record names its phase
+        datas = _load_marginals(config, records_dir)
         manifest = records_dir / "manifest.json"
         if manifest.exists():
-            _check_stamp(config, manifest, _read_json_object(manifest))
-        datas = _load_marginals(config, records_dir)
+            payload = _read_json_object(manifest)
+            _check_stamp(config, manifest, payload)
+            for problem in _manifest_problems(manifest, payload):
+                raise ConfigError(f"{manifest}: {problem}")
     estimate = tomography.reconstruct_full(datas, base)
     report = tomography.error_report(estimate, truth) if args.truth else None
     extra = {
@@ -374,29 +395,9 @@ def cmd_verify(config, args, outdir):
             problems.append(f"{path.name}: config_hash missing")
         elif stamp != config.config_hash():
             problems.append(f"{path.name}: config_hash mismatch")
-        if path.name != "manifest.json":
-            continue
-        text, files = payload.get("config_text", ""), payload.get("files", [])
-        if not isinstance(text, str):
-            raise ConfigError(f"{path}: config_text must be a string")
-        if not (isinstance(files, list) and all(isinstance(e, dict) for e in files)):
-            raise ConfigError(f"{path}: files must be a list of objects")
-        if hashlib.sha256(text.encode()).hexdigest() != payload.get("config_hash"):
-            problems.append("manifest config_hash does not match its config_text")
-        # only the run's own record files are hashed, each listed once
-        names = [_record_path(outdir, i).name for i in range(3)]
-        listed = [entry.get("path") for entry in files]
-        checked += len(files)
-        for name in names:
-            if listed.count(name) != 1:
-                problems.append(f"{name}: listed {listed.count(name)} times in the manifest")
-        for entry, name in zip(files, listed):
-            if not isinstance(name, str) or name in names and not (outdir / name).is_file():
-                problems.append(f"{name}: missing, listed in the manifest")
-            elif name not in names:
-                problems.append(f"{name}: not a record file of this run, listed in the manifest")
-            elif _sha256(outdir / name) != entry.get("sha256"):
-                problems.append(f"{name}: sha256 differs from the manifest's")
+        if path.name == "manifest.json":
+            problems += _manifest_problems(path, payload)
+            checked += len(payload.get("files", []))
     if checked == 0:
         raise ConfigError(f"nothing to verify under {outdir}")
     if problems:

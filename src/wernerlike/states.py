@@ -13,7 +13,6 @@ The two pictures are isometric: replacing the coherent pair |--a>, |+a> by
 hence spectra, entropy and purity.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -296,7 +295,6 @@ def write_metrics_csv(path, table, comments=()):
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(METRIC_COLUMNS)
+        fh.write(",".join(METRIC_COLUMNS) + "\r\n")
         for row in np.asarray(table):
-            writer.writerow([f"{v:.17g}" for v in row])
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\r\n")

@@ -639,7 +639,7 @@ def load_estimate_json(path):
         n_cutoff=_entry(payload, "settings.n_cutoff", int),
         eta=_entry(payload, "settings.eta", float),
     )
-    orders = _entry(payload, "orders", tuple) if "orders" in payload else ()
+    orders = _entry(payload, "orders", tuple)
 
     cdim = settings.n_cutoff + 1
 

@@ -473,6 +473,8 @@ def _nan_value(payload):
          ("wigner", "--source", "recon"), "reconstruction.json"),
         (_edit_reconstruction(lambda p: p.update(orders=5)),
          ("wigner", "--source", "recon"), "reconstruction.json"),
+        (_edit_reconstruction(lambda p: p.pop("orders")),
+         ("wigner", "--source", "recon"), "reconstruction.json: missing field 'orders'"),
         (lambda out: (out / "manifest.json").write_text("[1, 2]"), ("reconstruct",),
          "manifest.json"),
         (lambda out: (out / "manifest.json").write_text("[1, 2]"), ("verify",),
@@ -487,7 +489,8 @@ def _nan_value(payload):
         (_edit_reconstruction(_nan_value), ("wigner", "--source", "recon"),
          "reconstruction.json: block 'uu'"),
     ],
-    ids=["recon-without-eta", "recon-number-orders", "list-manifest-reconstruct", "list-manifest-verify",
+    ids=["recon-without-eta", "recon-number-orders", "recon-without-orders",
+         "list-manifest-reconstruct", "list-manifest-verify",
          "bare-number-json", "number-config-text", "number-file-entry", "recon-block-shape",
          "recon-nan-value"],
 )
@@ -552,6 +555,64 @@ class TestManifestCheck:
         assert run_cli("--config", config_path, "--seed", 43, "--out", out,
                        "reconstruct", "--records", records) == EXIT_VALIDATION
         assert f"{records / 'manifest.json'}: seed 42 does not match" in capsys.readouterr().err
+        assert not (out / "reconstruction.json").exists()
+
+    def test_edited_records_rejected(self, tmp_path, config_path, capsys):
+        # 5 counts moved between two cells of one line: every total still holds
+        out = tmp_path / "run"
+        run_cli("--config", config_path, "--out", out, "simulate")
+        path = out / "records_g1.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[4])
+        counts = record["counts_up"]
+        top = int(np.argmax(counts))
+        counts[top] -= 5
+        counts[top - 1 if top else 1] += 5
+        lines[4] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("--config", config_path, "--out", out, "reconstruct") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "records_g1.jsonl" in err and "sha256" in err
+        assert not (out / "reconstruction.json").exists()
+
+    def test_entries_hold_path_and_sha256(self, tmp_path, config_path):
+        out = tmp_path / "run"
+        run_cli("--config", config_path, "--out", out, "simulate")
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        assert [set(entry) for entry in files] == [{"path", "sha256"}] * 3
+
+    @pytest.mark.parametrize(
+        "tamper, problem",
+        [
+            (lambda m: m["files"][1].update(sha256="0" * 64),
+             "records_g1.jsonl: sha256 differs from the manifest's"),
+            (lambda m: m["files"].__setitem__(0, dict(m["files"][1])),
+             "records_g1.jsonl: listed 2 times"),
+            (lambda m: m["files"][0].pop("path"), "None: missing"),
+            (lambda m: m["files"][0].update(path="../outside.txt"),
+             "../outside.txt: not a record file"),
+            (lambda m: m.update(config_text=m["config_text"].replace("0.7", "0.8")),
+             "manifest config_hash does not match its config_text"),
+        ],
+        ids=["sha256-differs", "listed-twice", "missing", "not-a-record-file",
+             "config-text-edited"],
+    )
+    def test_verify_problems_stop_reconstruct(self, tmp_path, config_path, capsys,
+                                              tamper, problem):
+        out = tmp_path / "run"
+        run_cli("--config", config_path, "--out", out, "simulate")
+        (tmp_path / "outside.txt").write_text("not a record\n")
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        tamper(manifest)
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("--config", config_path, "--out", out, "verify") == EXIT_VALIDATION
+        reported = [line.removeprefix("verify: ") for line in capsys.readouterr().err.splitlines()]
+        assert any(line.startswith(problem) for line in reported)
+        assert run_cli("--config", config_path, "--out", out, "reconstruct") == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {path}: {reported[0]}\n"
         assert not (out / "reconstruction.json").exists()
 
 

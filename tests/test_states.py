@@ -23,6 +23,17 @@ def read_metrics_csv(path):
     return table, comments
 
 
+def csv_writer_metrics(path, table, comments=()):
+    """Reference: the former ``csv.writer`` export, row by row."""
+    with open(path, "w", newline="") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(states.METRIC_COLUMNS)
+        for row in np.asarray(table):
+            writer.writerow([f"{v:.17g}" for v in row])
+
+
 def pseudo_singlet_qubit():
     """Reference: (|du> - |ud>)/sqrt(2) as a 4-vector in the product basis."""
     v = np.zeros(4, dtype=complex)
@@ -397,3 +408,11 @@ class TestMetricSweep:
         back, comments = read_metrics_csv(path)
         np.testing.assert_array_equal(back, table)
         assert comments == ["config_hash=abc"]
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        table = states.metric_sweep(0.0, 2.0, 9)
+        table[0, :] = [-0.0, 5e-324, -1e300, np.nan, np.inf]
+        comments = ["config_hash=abc", "seed=7"]
+        states.write_metrics_csv(tmp_path / "got.csv", table, comments=comments)
+        csv_writer_metrics(tmp_path / "ref.csv", table, comments=comments)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
