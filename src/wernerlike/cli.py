@@ -332,10 +332,9 @@ def cmd_wigner(config, args, outdir):
     re_axis, im_axis = wigner.default_axes(
         config.alpha, re_pad=args.re_pad, spacing=args.spacing, im_extent=args.im_extent
     )
-    truth = config.truth_state()
     sources = {}
     if args.source in ("true", "both"):
-        sources["true"] = {name: getattr(truth, name) for name in wigner.BLOCK_NAMES}
+        sources["true"] = config.truth_state()
     if args.source in ("recon", "both"):
         recon_path = Path(args.reconstruction) if args.reconstruction else outdir / "reconstruction.json"
         if not recon_path.exists():
@@ -345,21 +344,20 @@ def cmd_wigner(config, args, outdir):
         except ValueError as exc:
             raise ConfigError(f"{recon_path}: {exc}") from exc
         _check_stamp(config, recon_path, payload)
-        st = estimate.to_state()
-        sources["recon"] = {name: getattr(st, name) for name in wigner.BLOCK_NAMES}
+        sources["recon"] = estimate.to_state()
     # one displacement table serves every source's blocks
-    named = {(tag, name): b for tag, blocks in sources.items() for name, b in blocks.items()}
+    named = {(tag, n): getattr(st, n) for tag, st in sources.items() for n in wigner.BLOCK_NAMES}
     joint = wigner.wigner_grid(named, re_axis, im_axis)
     grids = {}
     meta = {"spacing": args.spacing, **_stamp(config)}
-    for tag, blocks in sources.items():
-        grid = replace(joint, blocks={n: joint.blocks[tag, n] for n in blocks},
+    for tag, st in sources.items():
+        grid = replace(joint, blocks={n: joint.blocks[tag, n] for n in wigner.BLOCK_NAMES},
                        meta=dict(joint.meta))
-        grid.check_normalization({name: np.trace(blocks[name]) for name in ("uu", "dd", "ud")})
+        grid.check_normalization({n: np.trace(getattr(st, n)) for n in ("uu", "dd", "ud")})
         grids[tag] = grid
         path = outdir / f"wigner_{tag}.csv"
         wigner.write_grid_csv(path, grid, comments=_stamp_comments(config))
-        x, y = grid.line_profile("uu", 0.0)
+        x, y = grid.line_profile("uu")
         meta[tag] = {
             "normalization_ok": grid.meta.get("normalization_ok"),
             "normalization": grid.meta.get("normalization"),
@@ -379,8 +377,12 @@ def cmd_wigner(config, args, outdir):
 
 def cmd_verify(config, args, outdir):
     """Check every JSON, CSV and text output's stamp against the run's config
-    hash, and the manifest's config_text and record files."""
+    hash, and the manifest's config_text and record files; with no manifest,
+    each record file is a problem."""
     problems = []
+    if not (outdir / "manifest.json").exists():
+        unlisted = sorted(outdir.glob("records_g*.jsonl"))
+        problems = [f"{p.name}: no manifest.json lists it" for p in unlisted]
     checked = 0
     for path in sorted([*outdir.glob("*.json"), *outdir.glob("*.csv"), *outdir.glob("*.txt")]):
         checked += 1
@@ -398,7 +400,7 @@ def cmd_verify(config, args, outdir):
         if path.name == "manifest.json":
             problems += _manifest_problems(path, payload)
             checked += len(payload.get("files", []))
-    if checked == 0:
+    if checked == 0 and not problems:
         raise ConfigError(f"nothing to verify under {outdir}")
     if problems:
         for p in problems:

@@ -63,6 +63,7 @@ SIGMA2 = np.array([[0.0, 1j], [-1j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 HERMITIAN_TOL = 1e-8  # largest deviation from Hermitian ``hermitian_eigenvalues`` accepts
+SUPPORT_TOL = 1e-13  # norm a displaced number state may lose past ``displaced_support``'s rows
 
 
 class TruncationError(ValueError):
@@ -171,10 +172,10 @@ def displacement_matrix(beta, n_rows, n_cols):
     return f
 
 
-def displaced_support(n_top, beta_abs, tol=1e-13):
+def displaced_support(n_top, beta_abs):
     """The real (n_top + 1, K) table <m|D(|beta|)|k>, with K the row count
-    so that D(beta)|m> for m <= n_top keeps all but ``tol`` of its norm on
-    Fock components below K.
+    so that D(beta)|m> for m <= n_top keeps all but SUPPORT_TOL of its norm
+    on Fock components below K.
 
     Probes grow K by 16 rows.  Once a probe no longer reduces the largest
     deficit, the deficit is the kernel's rounding floor and the rows before
@@ -187,7 +188,7 @@ def displaced_support(n_top, beta_abs, tol=1e-13):
     while k < limit:
         f = displacement_amplitudes_batch([x], n_top + 1, k)[0]
         deficit = float(np.max(1.0 - np.sum(f * f, axis=1)))
-        if deficit < tol:
+        if deficit < SUPPORT_TOL:
             break
         if last is not None and deficit >= last[0]:
             _, k, f = last

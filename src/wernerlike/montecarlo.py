@@ -280,11 +280,11 @@ def sample_records(settings, events_per_phase, seed, setting_index, weights, win
     weights: (k,) mixture weights; window: (k, 2, n_phases, n_max+1) detected
     probabilities of each component; overflow: (k, 2, n_phases).  Per phase,
     the phase's stream draws how many events each component gets, then one
-    multinomial over each such component's cells: spin-up counts, spin-down
-    counts, then the down and up overflow bins.  seed and setting_index must
-    be non-negative integers and events_per_phase a positive one (a numpy
-    integer is taken as its int); any other value raises a ValueError before
-    a draw.
+    multinomial over each component's cells (no random numbers for no events):
+    spin-up counts, spin-down counts, then the down and up overflow bins.  seed
+    and setting_index must be non-negative integers and events_per_phase a
+    positive one (a numpy integer is taken as its int); any other value raises
+    a ValueError before a draw.
     """
     events_per_phase = _int_argument(events_per_phase, "events_per_phase", least=1)
     seed = _int_argument(seed, "seed")
@@ -308,8 +308,7 @@ def sample_records(settings, events_per_phase, seed, setting_index, weights, win
         else:
             split = rng.multinomial(events_per_phase, weights).tolist()
         for c, runs in enumerate(split):
-            if runs:
-                counts[j] += rng.multinomial(runs, cells[c, j])
+            counts[j] += rng.multinomial(runs, cells[c, j])
     over = counts[:, 2 * win :].tolist()
     return [
         MeasurementRecord(
@@ -382,21 +381,15 @@ def estimate_marginals(records):
         raise ValueError("no records given")
     first = records[0]
     win = len(first.counts_up)
+    group = operator.attrgetter("theta", "phi_spin", "beta_abs", "n_phases", "total_events", "seed")
+    key = group(first)
     for rec in records:
         if len(rec.counts_up) != win or len(rec.counts_down) != win:
             raise ValueError(
                 f"phase {rec.phase_index}: {len(rec.counts_up)} up and"
                 f" {len(rec.counts_down)} down count cells, expected {win} each"
             )
-        same = (
-            rec.theta == first.theta
-            and rec.phi_spin == first.phi_spin
-            and rec.beta_abs == first.beta_abs
-            and rec.n_phases == first.n_phases
-            and rec.total_events == first.total_events
-            and rec.seed == first.seed
-        )
-        if not same:
+        if group(rec) != key:
             raise ValueError(f"phase {rec.phase_index}: records mix different settings or seeds")
     seen = sorted(rec.phase_index for rec in records)
     # the length first: n_phases comes from the file and sizes nothing here
@@ -435,7 +428,6 @@ def estimate_marginals(records):
         theta=first.theta,
         phi_spin=first.phi_spin,
         beta_abs=first.beta_abs,
-        n_phases=first.n_phases,
         w=w,
         variance=w / first.total_events,
     )

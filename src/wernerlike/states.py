@@ -176,15 +176,9 @@ def mapped_qubit_from_alpha(alpha):
 # metrics
 # ----------------------------------------------------------------------
 
-def _as_matrix(rho):
-    if isinstance(rho, HybridState):
-        return rho.to_matrix()
-    return np.asarray(rho, dtype=complex)
-
-
 def von_neumann_entropy(rho):
-    """S = -sum_i lambda_i log2 lambda_i in bits, with 0 log 0 = 0."""
-    m = _as_matrix(rho)
+    """S = -sum_i lambda_i log2 lambda_i in bits, 0 log 0 = 0, of a density matrix."""
+    m = np.asarray(rho, dtype=complex)
     tr = np.trace(m).real
     if abs(tr - 1.0) > 1e-6:
         raise ValueError(f"trace {tr} deviates from 1 beyond 1e-6")

@@ -157,9 +157,12 @@ class MarginalData:
     theta: float
     phi_spin: float
     beta_abs: float
-    n_phases: int
     w: np.ndarray
     variance: np.ndarray
+
+    @property
+    def n_phases(self):
+        return self.w.shape[1]
 
     @property
     def n_max(self):
@@ -198,16 +201,13 @@ def _order_stack(f):
     return stack
 
 
-def ideal_marginal_tables(state, settings, f, groups=None):
+def ideal_marginal_tables(state, settings, f, groups):
     """Ideal (eta = 1) marginals for n < rows, summed over Fourier orders, from
     the real (state.dim, rows) table f_kn = <k|D(|beta|)|n>.
 
     ``groups`` lists the (theta, phi_spin) setting groups tabulated in the
-    one pass, by default the settings' own angles; the result is
-    w[g, s, j, n].
+    one pass, at the settings' phases; the result is w[g, s, j, n].
     """
-    if groups is None:
-        groups = ((settings.theta, settings.phi_spin),)
     dim, rows = f.shape
     ops = np.stack([
         collapse_spin(state, spin_projector(theta, phi, s))
@@ -282,7 +282,6 @@ def exact_marginal_data(state, settings):
         theta=settings.theta,
         phi_spin=settings.phi_spin,
         beta_abs=settings.beta_abs,
-        n_phases=settings.n_phases,
         w=window,
         variance=np.zeros_like(window),
     )
@@ -373,7 +372,7 @@ class BlockEstimate:
     sigma_im: np.ndarray
 
 
-def reconstruct_hermitian(w, variance, settings, systems=None):
+def reconstruct_hermitian(w, variance, settings, systems):
     """Invert k stacked retained-outcome marginal tables into Hermitian operators.
 
     w, variance: (k, n_phases, n_max+1).  The order-r Fourier data determine
@@ -381,8 +380,7 @@ def reconstruct_hermitian(w, variance, settings, systems=None):
     which for real phase data equals the estimate the negative orders would
     give.  The cell variances, treated as independent, propagate through the
     composition of the discrete Fourier weights with M.  ``systems`` is the
-    (m, diagnostics) pair ``inversion_systems`` returns, by default for these
-    settings.
+    (m, diagnostics) pair ``inversion_systems`` returns for these settings.
 
     Returns (values, moments, orders): values (k, cdim, cdim) complex;
     moments (3, k, cdim, cdim) holding the variances of the real and
@@ -396,7 +394,7 @@ def reconstruct_hermitian(w, variance, settings, systems=None):
             f"marginal tables of shape {w.shape} are not a stack of settings grids "
             f"({settings.n_phases} phases x {settings.n_max + 1} counts)"
         )
-    m, diagnostics = inversion_systems(settings) if systems is None else systems
+    m, diagnostics = systems
     k, nphi = len(w), settings.n_phases
     cdim = settings.n_cutoff + 1
     angle = np.outer(np.arange(cdim), settings.phases)  # (cdim, n_phases): r phase_j

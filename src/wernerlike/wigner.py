@@ -80,9 +80,9 @@ class WignerGrid:
     def block_integral(self, name):
         return complex(self.blocks[name].sum() * self.cell_area)
 
-    def line_profile(self, name, im_value=0.0):
-        """(re_axis, W values) along the horizontal line nearest im_value."""
-        row = int(np.argmin(np.abs(self.im_axis - im_value)))
+    def line_profile(self, name):
+        """(re_axis, W values) along the Im gamma = 0 row (the row nearest it)."""
+        row = int(np.argmin(np.abs(self.im_axis)))
         return self.re_axis, self.blocks[name][row]
 
     def check_normalization(self, expected_traces):
@@ -109,13 +109,11 @@ class WignerGrid:
 def wigner_grid(blocks, re_axis, im_axis):
     """Evaluate the surfaces of named oscillator-space blocks on the grid.
 
-    ``blocks`` maps names to square arrays (a HybridState gives its four
-    blocks uu/ud/du/dd); ``grid.blocks`` uses the same names.  Blocks of
+    ``blocks`` is a mapping of names to square arrays (a HybridState's are its
+    BLOCK_NAMES attributes); ``grid.blocks`` uses the same names.  Blocks of
     different sizes are zero-padded to the largest, ``meta["state_dim"]``.
     ``grid.check_normalization`` compares the grid integrals with the traces.
     """
-    if hasattr(blocks, "uu"):
-        blocks = {name: getattr(blocks, name) for name in BLOCK_NAMES}
     dim = max(len(block) for block in blocks.values())
     re_axis = np.asarray(re_axis, dtype=float)
     im_axis = np.asarray(im_axis, dtype=float)

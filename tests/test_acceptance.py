@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from test_states import build_werner_qubit
+from test_wigner import state_blocks
 from wernerlike import cli, fock, montecarlo as mc, states, trapsim as ts
 from wernerlike import tomography as tg
 from wernerlike import wigner as wg
@@ -190,10 +191,10 @@ def test_criterion_7_wigner_structure(truth32):
     # survives only as a shoulder (two maxima appear above alpha ~ 0.85) -
     # so the two-maxima clause is asserted as stated and fails honestly.
     re_axis, im_axis = wg.default_axes(FIG4_ALPHA, spacing=0.1)
-    grid = wg.wigner_grid(truth32, re_axis, im_axis)
+    grid = wg.wigner_grid(state_blocks(truth32), re_axis, im_axis)
     grid.check_normalization({"uu": 0.5, "dd": 0.5, "ud": np.trace(truth32.ud)})
     norm_ok = bool(grid.meta["normalization_ok"])
-    x, y = grid.line_profile("uu", 0.0)
+    x, y = grid.line_profile("uu")
     peaks = wg.profile_maxima(x, y.real)
     near = [p for p in peaks if min(abs(p[0] - 0.7), abs(p[0] + 0.7)) <= 0.15]
     two_hills = len(near) == 2 and len(peaks) == 2

@@ -10,6 +10,7 @@ import pytest
 
 from test_states import read_metrics_csv
 from test_tomography import ref_inversion_systems, ref_reconstruct_full
+from test_wigner import state_blocks
 from wernerlike import cli, fock, montecarlo, states, tomography, trapsim, wigner
 from wernerlike.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, RunConfig
 
@@ -414,7 +415,8 @@ def test_outputs_match_pinned_hashes(tmp_path):
         )
     assert report["pooled_within_3sigma"] == 1.0
 
-    grid = wigner.wigner_grid(estimate.to_state(), *wigner.default_axes(config.alpha))
+    blocks = state_blocks(estimate.to_state())
+    grid = wigner.wigner_grid(blocks, *wigner.default_axes(config.alpha))
     got = read_surfaces(out / "wigner_recon.csv")
     scale = max(np.max(np.abs(w)) for w in grid.blocks.values())
     for name in wigner.BLOCK_NAMES:
@@ -820,6 +822,22 @@ class TestVerify:
         err = capsys.readouterr().err
         assert listed in err and "records_g0.jsonl: listed 0 times" in err
         assert hashed and all(p.parent == out for p in hashed)
+
+    @pytest.mark.parametrize("stages", [[("metrics", "--steps", 5), ("simulate",)], [("simulate",)]],
+                             ids=["with-outputs", "records-only"])
+    def test_records_without_manifest_reported(self, tmp_path, config_path, capsys, stages):
+        out = tmp_path / "run"
+        for stage in stages:
+            run_cli("--config", config_path, "--out", out, *stage)
+        (out / "manifest.json").unlink()
+        capsys.readouterr()
+        assert run_cli("--config", config_path, "--out", out, "verify") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        for i in range(3):
+            assert f"records_g{i}.jsonl: no manifest.json lists it" in err
+        assert "nothing to verify" not in err
+        # records made outside simulate carry no manifest, and reconstruct reads them
+        assert run_cli("--config", config_path, "--out", out, "reconstruct") == EXIT_OK
 
     def test_empty_directory_rejected(self, tmp_path, config_path):
         out = tmp_path / "nothing"

@@ -1,6 +1,7 @@
-"""The public API: each module's ``__all__`` and the names the package
-``__init__`` re-exports (none) exist and equal the lists written here, so a
-change to the API shows up as a change to this file."""
+"""The public API: each module's ``__all__``, the names the package
+``__init__`` re-exports (none) and the parameters with a default of each
+public function and method exist and equal the lists written here, so a
+change to the API, a new knob included, shows up as a change to this file."""
 
 import ast
 import importlib
@@ -46,6 +47,23 @@ PUBLIC = {
 #: the package root binds no public name: each is imported from its module
 REEXPORTS = []
 
+#: the parameters with a default of every public function and method of a
+#: public class, module by module (cli included); each other parameter is required
+DEFAULTED = {
+    "cli.RunConfig.settings": ["theta", "phi_spin"],
+    "cli.run": ["argv"],
+    "cli.main": ["argv"],
+    "montecarlo.simulate_acquisition": ["setting_index"],
+    "states.build_hybrid_mixture": ["dim"],
+    "states.fidelity_threshold": ["level"],
+    "states.write_metrics_csv": ["comments"],
+    "tomography.reconstruct_full": ["systems"],
+    "tomography.write_estimate_json": ["extra"],
+    "trapsim.simulate_trap_acquisition": ["dim", "setting_index"],
+    "wigner.default_axes": ["re_pad", "spacing", "im_extent"],
+    "wigner.write_grid_csv": ["comments"],
+}
+
 
 @pytest.mark.parametrize("name", sorted(PUBLIC))
 def test_every_listed_name_exists(name):
@@ -66,3 +84,23 @@ def test_package_reexports_listed_names():
             assert getattr(wernerlike, alias.asname or alias.name) is getattr(module, alias.name)
             exported.append(alias.asname or alias.name)
     assert exported == REEXPORTS
+
+
+def test_defaulted_parameters_are_listed():
+    found = {}
+    for path in sorted(Path(wernerlike.__file__).parent.glob("*.py")):
+        scopes = [(path.stem, ast.parse(path.read_text()).body)]
+        for prefix, body in scopes:
+            for node in body:
+                if getattr(node, "name", "_").startswith("_"):
+                    continue
+                if isinstance(node, ast.ClassDef):
+                    scopes.append((f"{prefix}.{node.name}", node.body))
+                elif isinstance(node, ast.FunctionDef):
+                    args = node.args
+                    positional = args.posonlyargs + args.args
+                    names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+                    names += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                    if names:
+                        found[f"{prefix}.{node.name}"] = names
+    assert found == DEFAULTED

@@ -285,7 +285,7 @@ class TestDisplacedSupport:
         state, settings = config.truth_state(), config.settings()
         kernel_calls.clear()
         f = fock.displaced_support(state.dim - 1, settings.beta_abs)
-        tomography.ideal_marginal_tables(state, settings, f)
+        tomography.ideal_marginal_tables(state, settings, f, ((settings.theta, settings.phi_spin),))
         assert kernel_calls == [(state.dim, f.shape[1])]
         kernel_calls.clear()
         tomography.smeared_marginal_tables(state, settings)

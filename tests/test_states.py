@@ -227,7 +227,7 @@ class TestMappedQubit:
         purity_m = np.trace(mapped @ mapped).real
         assert abs(purity_h - purity_m) < 1e-8
         assert abs(
-            states.von_neumann_entropy(hybrid) - states.von_neumann_entropy(mapped)
+            states.von_neumann_entropy(hybrid.to_matrix()) - states.von_neumann_entropy(mapped)
         ) < 1e-8
 
 

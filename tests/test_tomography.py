@@ -152,7 +152,7 @@ class TestMarginal:
     def test_matches_batched_tables(self, hybrid07):
         base = settings_full()
         f = fock.displacement_amplitudes_batch([base.beta_abs], hybrid07.dim, 20)[0]
-        tables = tg.ideal_marginal_tables(hybrid07, base, f)[0]
+        tables = tg.ideal_marginal_tables(hybrid07, base, f, ((base.theta, base.phi_spin),))[0]
         j = 11
         beta = 0.6 * np.exp(1j * base.phases[j])
         for s in (fock.SPIN_DOWN, fock.SPIN_UP):
@@ -168,7 +168,9 @@ class TestMarginal:
         f = fock.displaced_support(31, 0.6)
         rows = f.shape[1]
         assert rows == 60
-        tables = tg.ideal_marginal_tables(hybrid07, settings, f)[0]
+        tables = tg.ideal_marginal_tables(
+            hybrid07, settings, f, ((settings.theta, settings.phi_spin),)
+        )[0]
         pad = [(0, rows - 32), (0, rows - 32)]
         wide = states.HybridState(
             **{name: np.pad(getattr(hybrid07, name), pad) for name in ("uu", "ud", "dd")}
@@ -194,7 +196,9 @@ class TestMarginal:
         # the overflow counts n >= dim, without zero-padding the state
         settings = settings_full().with_angles(*tg.standard_setting_angles()[group])
         f = fock.displacement_amplitudes_batch([settings.beta_abs], hybrid07.dim, 60)[0]
-        tables = tg.ideal_marginal_tables(hybrid07, settings, f)[0]
+        tables = tg.ideal_marginal_tables(
+            hybrid07, settings, f, ((settings.theta, settings.phi_spin),)
+        )[0]
         for j, phase in enumerate(settings.phases):
             beta = 0.6 * np.exp(1j * phase)
             for s in (fock.SPIN_DOWN, fock.SPIN_UP):
@@ -397,7 +401,10 @@ class TestUnitEfficiencyFold:
     @pytest.mark.parametrize("group", range(3))
     def test_smeared_tables_are_the_window_slice(self, hybrid07, group):
         settings = settings_full().with_angles(*tg.standard_setting_angles()[group])
-        wide = tg.ideal_marginal_tables(hybrid07, settings, fock.displaced_support(31, 0.6))[0]
+        f = fock.displaced_support(31, 0.6)
+        wide = tg.ideal_marginal_tables(
+            hybrid07, settings, f, ((settings.theta, settings.phi_spin),)
+        )[0]
         window, overflow = tg.smeared_marginal_tables(hybrid07, settings)
         assert np.array_equal(window, wide[..., :32])
         assert np.array_equal(overflow, np.clip(wide.sum(-1) - wide[..., :32].sum(-1), 0.0, None))
@@ -739,7 +746,8 @@ class TestStackedForwardTables:
         got_window, got_overflow = tg.smeared_marginal_tables(hybrid07, settings)
         assert np.array_equal(got_window, window)
         assert np.array_equal(got_overflow, overflow)
-        assert np.array_equal(tg.ideal_marginal_tables(hybrid07, settings, f)[0], wide)
+        got = tg.ideal_marginal_tables(hybrid07, settings, f, (angles,))[0]
+        assert np.array_equal(got, wide)
 
 
 # ----------------------------------------------------------------------
@@ -804,7 +812,9 @@ class TestStackedReconstruction:
         shape = (4, settings.n_phases, settings.n_max + 1)
         w = rng.dirichlet(np.ones(shape[-1]), size=shape[:2])
         variance = rng.uniform(1e-6, 1e-4, size=shape)
-        values, moments, orders = tg.reconstruct_hermitian(w, variance, settings)
+        values, moments, orders = tg.reconstruct_hermitian(
+            w, variance, settings, tg.inversion_systems(settings)
+        )
         systems = unpack_systems(tg.inversion_systems(settings))
         upper = np.triu_indices(settings.n_cutoff + 1, 1)
         for q in range(len(w)):

@@ -31,6 +31,11 @@ def coherent_wigner(gamma, a, b):
     return TWO_OVER_PI * np.exp(exponent)
 
 
+def state_blocks(state):
+    """The name -> block mapping ``wigner_grid`` takes, of a HybridState."""
+    return {name: getattr(state, name) for name in wg.BLOCK_NAMES}
+
+
 def wigner_point(block, gamma):
     """W(gamma) for a single oscillator-space block (complex in general)."""
     grid = wg.wigner_grid({"w": block}, [np.real(gamma)], [np.imag(gamma)])
@@ -40,10 +45,10 @@ def wigner_point(block, gamma):
 def parity_cutoff_grid(blocks, re_axis, im_axis):
     """Reference: W = (2/pi) sum_k (-1)^k <k|D(gamma)+ block D(gamma)|k>,
     with the parity sum cut where every displaced number state of the block's
-    space keeps all but 1e-12 of its norm at the largest |gamma|."""
+    space keeps all but fock.SUPPORT_TOL of its norm at the largest |gamma|."""
     dim = blocks["uu"].shape[0]
     points = (re_axis[None, :] + 1j * im_axis[:, None]).ravel()
-    parity_dim = fock.displaced_support(dim - 1, np.abs(points).max(), tol=1e-12).shape[1]
+    parity_dim = fock.displaced_support(dim - 1, np.abs(points).max()).shape[1]
     parity = (-1.0) ** np.arange(parity_dim)
     out = {name: np.empty(points.size, dtype=complex) for name in wg.BLOCK_NAMES}
     for p, gamma in enumerate(points):
@@ -124,7 +129,7 @@ def hybrid07():
 @pytest.fixture(scope="module")
 def grid07(hybrid07):
     re_axis, im_axis = wg.default_axes(0.7, spacing=0.1)
-    grid = wg.wigner_grid(hybrid07, re_axis, im_axis)
+    grid = wg.wigner_grid(state_blocks(hybrid07), re_axis, im_axis)
     grid.check_normalization({"uu": 0.5, "dd": 0.5, "ud": np.trace(hybrid07.ud)})
     return grid
 
@@ -190,7 +195,7 @@ class TestWignerGrid:
         assert grid07.meta["normalization_ok"]
 
     def test_global_maximum_at_minus_alpha(self, grid07):
-        x, y = grid07.line_profile("uu", 0.0)
+        x, y = grid07.line_profile("uu")
         peaks = wg.profile_maxima(x, y.real)
         assert peaks, "no interior maxima found"
         top_x, top_y = max(peaks, key=lambda p: p[1])
@@ -203,8 +208,8 @@ class TestWignerGrid:
         # 3:1 weights merge the hills below alpha ~ 0.85; at 1.2 both survive
         st = states.build_hybrid_mixture(1.2, 48)
         re_axis = np.arange(-4.2, 4.25, 0.1)
-        grid = wg.wigner_grid(st, re_axis, np.array([-0.1, 0.0, 0.1]))
-        x, y = grid.line_profile("uu", 0.0)
+        grid = wg.wigner_grid(state_blocks(st), re_axis, np.array([-0.1, 0.0, 0.1]))
+        x, y = grid.line_profile("uu")
         peaks = wg.profile_maxima(x, y.real)
         assert len(peaks) == 2
         (x_lo, y_lo), (x_hi, y_hi) = sorted(peaks)
@@ -240,7 +245,8 @@ class TestWignerGrid:
         assert np.isnan(grid.meta["normalization"]["uu"]["integral"]).all()
 
     def test_coverage_warning_on_small_grid(self, hybrid07):
-        grid = wg.wigner_grid(hybrid07, np.arange(-0.5, 0.55, 0.25), np.arange(-0.5, 0.55, 0.25))
+        axis = np.arange(-0.5, 0.55, 0.25)
+        grid = wg.wigner_grid(state_blocks(hybrid07), axis, axis)
         with pytest.warns(UserWarning, match="grid"):
             grid.check_normalization({"uu": 0.5})
 
@@ -319,8 +325,8 @@ class TestWignerGrid:
         ]
         est = tg.reconstruct_full(datas, base).to_state()
         axes = (np.arange(-1.5, 1.55, 0.25), np.arange(-1.0, 1.05, 0.25))
-        g_true = wg.wigner_grid(state, *axes)
-        g_est = wg.wigner_grid(est, *axes)
+        g_true = wg.wigner_grid(state_blocks(state), *axes)
+        g_est = wg.wigner_grid(state_blocks(est), *axes)
         for name in wg.BLOCK_NAMES:
             assert np.max(np.abs(g_true.blocks[name] - g_est.blocks[name])) < 1e-6
 
@@ -335,7 +341,7 @@ class TestWignerGrid:
         joint = wg.wigner_grid(named, re_axis, im_axis)
         assert joint.meta["state_dim"] == 32
         for tag, state in (("big", hybrid07), ("small", small)):
-            alone = wg.wigner_grid(state, re_axis, im_axis)
+            alone = wg.wigner_grid(state_blocks(state), re_axis, im_axis)
             for n in wg.BLOCK_NAMES:
                 assert np.max(np.abs(joint.blocks[tag, n] - alone.blocks[n])) < 1e-15
 
@@ -375,7 +381,7 @@ class TestExport:
     def test_csv_and_sidecar(self, tmp_path, hybrid07):
         re_axis = np.arange(-1.0, 1.05, 0.5)
         im_axis = np.arange(-0.5, 0.55, 0.5)
-        grid = wg.wigner_grid(hybrid07, re_axis, im_axis)
+        grid = wg.wigner_grid(state_blocks(hybrid07), re_axis, im_axis)
         csv_path = tmp_path / "grid.csv"
         wg.write_grid_csv(csv_path, grid, comments=["config_hash=xyz"])
         lines = csv_path.read_text().splitlines()
