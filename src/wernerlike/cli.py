@@ -318,14 +318,19 @@ def cmd_reconstruct(config, args, outdir):
         for name in ("uu", "dd", "ud"):
             lines.append(
                 f"block {name}: max |error| = {report[name]['max_abs_error']:.3e},"
-                f" within 3 sigma = {report[name]['within_3sigma']:.3f}"
+                f" within 3 sigma = {_coverage(report[name]['within_3sigma'], 3)}"
             )
-        lines.append(f"pooled within 3 sigma = {report['pooled_within_3sigma']:.4f}")
+        lines.append(f"pooled within 3 sigma = {_coverage(report['pooled_within_3sigma'], 4)}")
     summary = "\n".join(lines) + "\n"
     stamp = "".join(f"# {line}\n" for line in _stamp_comments(config))
     (outdir / "summary.txt").write_text(stamp + summary)
     print(summary, end="")
     return EXIT_OK
+
+
+def _coverage(fraction, digits):
+    # error_report's containment, which is None when no part has sigma > 0
+    return "n/a (0 parts)" if fraction is None else f"{fraction:.{digits}f}"
 
 
 def cmd_wigner(config, args, outdir):

@@ -86,10 +86,10 @@ class MeasurementRecord:
 
     @classmethod
     def from_json(cls, line):
-        """Parse one record line; every field is required, integer fields and
-        counts must be JSON integers, setting angles and |beta| finite JSON
-        numbers, counts and overflow within int64, and a missing or malformed
-        field raises a ValueError naming it."""
+        """Parse one line by ``read_records``' checks: every field required,
+        integer fields and counts JSON integers, setting angles and |beta|
+        finite JSON numbers, counts and overflow within int64; a missing or
+        malformed field raises a ValueError naming it."""
         return _walked_record(json.loads(line))
 
 
@@ -110,88 +110,61 @@ def _json_scalar(value):
     return json.dumps(value)
 
 
-def _plain(obj):
-    """True if a parsed line holds every field as its plain JSON type: a
-    setting object of finite numbers, integers, and lists of integers.
-
-    One expression instead of a call per field; any other line goes through
-    ``_walked_record``, which names the first bad field.  A plain line can
-    still hold a count or overflow outside int64, which ``read_records`` finds
-    when it builds their arrays.
-    """
-    try:
-        angles = _ANGLES(obj["setting"])
-        return (
-            {*map(type, angles)} <= {int, float}
-            and all(map(math.isfinite, angles))
-            and type(obj["counts_up"]) is list
-            and type(obj["counts_down"]) is list
-            and {*map(type, _INTEGERS(obj)), *map(type, obj["counts_up"]),
-                 *map(type, obj["counts_down"])} == {int}
-        )
-    except (KeyError, TypeError, OverflowError):  # not a dict, a missing key, a huge int
-        return False
-
-
-def _plain_record(obj, counts_up, counts_down):
-    phase_index, n_phases, total_events, seed, overflow_up, overflow_down = _INTEGERS(obj)
-    return MeasurementRecord(
-        *map(float, _ANGLES(obj["setting"])), phase_index, n_phases, total_events, seed,
-        counts_up, counts_down, overflow_up, overflow_down,
-    )
-
-
 def _walked_record(obj):
-    # the field walk: every field converted on its own, the first bad one named
+    # the checks of read_records applied to one line, field by field: the
+    # first missing or malformed field is named
     return MeasurementRecord(
-        *[_entry(obj, f"setting.{name}", _number) for name in _SETTING_FIELDS],
-        *[_entry(obj, name, convert) for name, convert in _RECORD_FIELDS],
+        *[_entry(obj, name, lambda value, check=check: check([value])[0])
+          for name, check in _FIELDS]
     )
 
 
-def _integer(value):
-    # a JSON integer only: json.loads gives 2.9 as a float and true as a bool
-    if type(value) is not int:
-        raise ValueError("not an integer")
-    return value
+def _numbers(column):
+    # finite JSON numbers only: not a string, a bool or a non-finite constant
+    if not {*map(type, column)} <= {int, float} or not all(map(math.isfinite, column)):
+        raise ValueError("not finite numbers")
+    return list(map(float, column))
 
 
-def _number(value):
-    # a finite JSON number only: not a string, a bool or a non-finite constant
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError("not a finite number")
-    return float(value)
+def _integers(column):
+    # JSON integers only: json.loads gives 2.9 as a float and true as a bool
+    if not {*map(type, column)} <= {int}:
+        raise ValueError("not integers")
+    return column
 
 
-def _int64(value):
-    # an overflow bin fits int64, as every entry of a count list must
-    return int(np.int64(_integer(value)))
+def _int64s(column):
+    # integers that fit int64, as the counts must: the array raises OverflowError
+    np.array(_integers(column), dtype=np.int64)
+    return column
 
 
-def _count_list(value):
-    if type(value) is not list or not set(map(type, value)) <= {int}:
-        raise ValueError("not a list of integer counts")
-    return np.array(value, dtype=np.int64)
+def _count_lists(column):
+    # lists of int64 counts, of any lengths: one array, cut into one view per list
+    if not {*map(type, column)} <= {list}:
+        raise ValueError("not lists of integer counts")
+    flat = np.array(_integers(list(itertools.chain.from_iterable(column))), dtype=np.int64)
+    ends = list(itertools.accumulate(map(len, column), initial=0))
+    return [flat[start:stop] for start, stop in itertools.pairwise(ends)]
 
 
-#: the fields inside ``setting``, then the others, in MeasurementRecord's order
-_SETTING_FIELDS = ("theta", "phi_spin", "beta_abs")
-_RECORD_FIELDS = (
-    ("phase_index", _integer),
-    ("n_phases", _integer),
-    ("total_events", _integer),
-    ("seed", _integer),
-    ("counts_up", _count_list),
-    ("counts_down", _count_list),
-    ("overflow_up", _int64),
-    ("overflow_down", _int64),
+#: every field of a record line, dotted into ``setting``, with the check of
+#: its kind, in MeasurementRecord's order; a check takes a column of values
+#: and returns it converted, or raises
+_FIELDS = (
+    *[(f"setting.{name}", _numbers) for name in ("theta", "phi_spin", "beta_abs")],
+    *[(name, _integers) for name in ("phase_index", "n_phases", "total_events", "seed")],
+    ("counts_up", _count_lists), ("counts_down", _count_lists),
+    ("overflow_up", _int64s), ("overflow_down", _int64s),
 )
-#: the fields of which read_records builds one int64 array per file, counts first
-_INT64_FIELDS = ("counts_up", "counts_down", "overflow_up", "overflow_down")
-_ANGLES = operator.itemgetter(*_SETTING_FIELDS)
-_INTEGERS = operator.itemgetter(
-    *[name for name, convert in _RECORD_FIELDS if convert is not _count_list]
-)
+
+
+def _column(objs, name):
+    # the values of one dotted field over all lines; KeyError or TypeError if one lacks it
+    column = objs
+    for part in name.split("."):
+        column = [obj[part] for obj in column]
+    return column
 
 
 #: numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
@@ -345,27 +318,29 @@ def write_records(path, records):
 
 
 def read_records(path):
-    """Records of a JSON-lines file; a bad line raises a ValueError naming its number."""
+    """Records of a JSON-lines file; a bad line raises a ValueError naming its number.
+
+    Each line is parsed once and each field's check runs over its whole
+    column; if a line does not parse or a column fails, the same checks walk
+    the parsed lines in order and the first bad line is named.
+    """
     with open(path) as fh:
-        lines = fh.readlines()
-    # a file of plain lines builds one int64 array per count and overflow field (the
-    # overflow arrays only check the bound); any other file goes line by line
+        numbered = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    objs = []
     try:
-        objs = [json.loads(line) for line in lines if line.strip()]
-        if all(map(_plain, objs)):
-            counts = [np.array([obj[name] for obj in objs], dtype=np.int64)
-                      for name in _INT64_FIELDS]
-            return list(map(_plain_record, objs, *counts[:2]))
-    except (ValueError, OverflowError):  # bad JSON, ragged counts, an entry outside int64
-        pass
-    records = []
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip():
-            try:
-                records.append(MeasurementRecord.from_json(line))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-    return records
+        for _, line in numbered:
+            objs.append(json.loads(line))
+        return list(map(MeasurementRecord, *[check(_column(objs, name))
+                                             for name, check in _FIELDS]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        failure = exc
+    for (lineno, _), obj in zip(numbered, objs):
+        try:
+            _walked_record(obj)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    # every parsed line passes the walk: the failure is the next line's JSON error
+    raise ValueError(f"line {numbered[len(objs)][0]}: {failure}") from None
 
 
 def estimate_marginals(records):

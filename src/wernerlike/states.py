@@ -269,6 +269,9 @@ def metric_sweep(alpha_min, alpha_max, steps):
     """(steps, 5) table of (alpha, kappa, S, E, F) on a uniform alpha grid."""
     if steps < 2:
         raise ValueError("steps must be at least 2")
+    for name, bound in (("alpha_min", alpha_min), ("alpha_max", alpha_max)):
+        if not (np.isfinite(bound) and bound >= 0):
+            raise ValueError(f"{name}={bound} must be finite and nonnegative")
     if not alpha_max > alpha_min:
         raise ValueError(f"alpha_max={alpha_max} must exceed alpha_min={alpha_min}")
     alphas = np.linspace(float(alpha_min), float(alpha_max), int(steps))

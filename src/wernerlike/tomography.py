@@ -531,7 +531,10 @@ def scalar_parts(estimate, truth, hermitian):
 
 
 def error_report(estimate, truth_state):
-    """Per-block max |error| and 3-sigma containment against a known state."""
+    """Per-block max |error| and 3-sigma containment against a known state.
+
+    Containment counts the parts with sigma > 0; with none (a noiseless
+    estimate) it is None, not a pass."""
     cdim = estimate.settings.n_cutoff + 1
     report = {}
     pooled_hits = pooled_total = 0
@@ -548,10 +551,10 @@ def error_report(estimate, truth_state):
         pooled_total += total
         report[name] = {
             "max_abs_error": float(np.max(np.abs(est.values - truth))),
-            "within_3sigma": hits / total if total else 1.0,
+            "within_3sigma": hits / total if total else None,
             "parts": total,
         }
-    report["pooled_within_3sigma"] = pooled_hits / pooled_total if pooled_total else 1.0
+    report["pooled_within_3sigma"] = pooled_hits / pooled_total if pooled_total else None
     return report
 
 

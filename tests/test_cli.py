@@ -167,6 +167,22 @@ class TestSimulateReconstruct:
         for name in ("uu", "dd", "ud"):
             assert payload["truth_comparison"][name]["max_abs_error"] < 1e-6
 
+    def test_exact_mode_reports_no_coverage(self, tmp_path, config_path, capsys):
+        # a noiseless estimate has no sigma > 0: containment is not a pass
+        out = tmp_path / "exact"
+        assert run_cli("--config", config_path, "--out", out, "reconstruct", "--exact") == EXIT_OK
+        report = json.loads((out / "reconstruction.json").read_text())["truth_comparison"]
+        assert [report[name]["within_3sigma"] for name in ("uu", "dd", "ud")] == [None] * 3
+        assert [report[name]["parts"] for name in ("uu", "dd", "ud")] == [0] * 3
+        assert report["pooled_within_3sigma"] is None
+        printed = capsys.readouterr().out
+        assert printed.count("within 3 sigma = n/a (0 parts)") == 4
+
+    def test_metrics_refuses_an_unbounded_sweep(self, tmp_path, capsys):
+        code = run_cli("--out", tmp_path / "run", "metrics", "--alpha-max", "inf")
+        assert code == EXIT_VALIDATION
+        assert "alpha_max=inf must be finite and nonnegative" in capsys.readouterr().err
+
     def test_missing_group_diagnostic(self, tmp_path, config_path):
         out = tmp_path / "run"
         run_cli("--config", config_path, "--out", out, "simulate")

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import hypothesis
 import numpy as np
@@ -236,6 +237,24 @@ class TestPhaseSeeding:
         assert [rec.seed for rec in mc.read_records(tmp_path / "got.jsonl")] == [7] * 24
 
 
+#: the kinds of bad record line, one of each fault read_records can name
+FAULTS = ["invalid JSON", "missing field", "malformed field", "count outside int64"]
+
+
+def faulty_line(line, fault):
+    """A good record line with one fault."""
+    if fault == "invalid JSON":
+        return line[:-1]
+    obj = json.loads(line)
+    if fault == "missing field":
+        del obj["seed"]
+    elif fault == "malformed field":
+        obj["phase_index"] = 2.9
+    else:
+        obj["counts_up"][0] = 2**63
+    return json.dumps(obj)
+
+
 class TestRecords:
     def test_jsonl_round_trip(self, state16, tmp_path):
         records = mc.simulate_acquisition(state16, small_settings(), 400, seed=2)
@@ -322,6 +341,39 @@ class TestRecords:
         path.write_text("".join(f"{line}\n" for line in lines))
         with pytest.raises(ValueError, match="^line 3: malformed field 'setting': "):
             mc.read_records(path)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_each_line_parsed_once(self, state16, tmp_path, monkeypatch, fault):
+        # a file whose last line is bad: one json.loads call per line, the
+        # walk reuses the parsed lines
+        lines = [rec.to_json() for rec in
+                 mc.simulate_acquisition(state16, small_settings(), 100, seed=1)]
+        lines[-1] = faulty_line(lines[-1], fault)
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(f"{line}\n" for line in lines))
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or loads(text))
+        with pytest.raises(ValueError, match=f"^line {len(lines)}: "):
+            mc.read_records(path)
+        assert calls == path.read_text().splitlines(keepends=True)
+
+    @pytest.mark.parametrize("later", FAULTS)
+    @pytest.mark.parametrize("earlier", FAULTS)
+    def test_first_of_two_bad_lines_named(self, state16, tmp_path, earlier, later):
+        lines = [rec.to_json() for rec in
+                 mc.simulate_acquisition(state16, small_settings(), 100, seed=1)]
+        lines[2] = faulty_line(lines[2], earlier)
+        lines[5] = faulty_line(lines[5], later)
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(f"{line}\n" for line in lines))
+        try:  # the line as read, with its newline, which a JSON error counts
+            reference_walked_record(json.loads(f"{lines[2]}\n"))
+        except ValueError as exc:
+            message = f"line 3: {exc}"
+        with pytest.raises(ValueError) as got:
+            mc.read_records(path)
+        assert str(got.value) == message
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -446,6 +498,46 @@ def edited_line(rec, path, value):
     return json.dumps(obj)
 
 
+def _integer(value):
+    # a JSON integer only: json.loads gives 2.9 as a float and true as a bool
+    if type(value) is not int:
+        raise ValueError("not an integer")
+    return value
+
+
+def _number(value):
+    # a finite JSON number only: not a string, a bool or a non-finite constant
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return float(value)
+
+
+def _int64(value):
+    # an overflow bin fits int64, as every entry of a count list must
+    return int(np.int64(_integer(value)))
+
+
+def _count_list(value):
+    if type(value) is not list or not set(map(type, value)) <= {int}:
+        raise ValueError("not a list of integer counts")
+    return np.array(value, dtype=np.int64)
+
+
+def reference_walked_record(obj):
+    """Reference: the field walk, every field converted on its own by a
+    per-value converter and the first bad one named, which the column checks
+    of read_records and MeasurementRecord.from_json must agree with."""
+    return mc.MeasurementRecord(
+        *[tg._entry(obj, f"setting.{name}", _number)
+          for name in ("theta", "phi_spin", "beta_abs")],
+        *[tg._entry(obj, name, convert) for name, convert in (
+            ("phase_index", _integer), ("n_phases", _integer), ("total_events", _integer),
+            ("seed", _integer), ("counts_up", _count_list), ("counts_down", _count_list),
+            ("overflow_up", _int64), ("overflow_down", _int64),
+        )],
+    )
+
+
 def record_fields(rec):
     return [(type(value), value.dtype, value.tolist()) if isinstance(value, np.ndarray)
             else (type(value), value) for value in vars(rec).values()]
@@ -492,21 +584,25 @@ class TestRecordProperties:
     @given(records(), st.sampled_from(FIELD_PATHS), replacements)
     def test_one_pass_check_agrees_with_the_field_walk(self, tmp_path_factory, rec, path,
                                                        value):
-        # read_records of a one-line file, whose plain line takes the one-pass
-        # check (_plain, _plain_record), returns the walk's record or raises
-        # the walk's message
+        # read_records of a one-line file, whose fields take the column checks,
+        # and from_json of the line return the reference walk's record or
+        # raise its message
         line = edited_line(rec, path, value)
         records_path = tmp_path_factory.mktemp("line") / "records.jsonl"
         records_path.write_text(f"{line}\n")
         try:
-            want = mc._walked_record(json.loads(line))
+            want = reference_walked_record(json.loads(line))
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
                 mc.read_records(records_path)
             assert str(got.value) == f"line 1: {exc}"
+            with pytest.raises(ValueError) as got:
+                mc.MeasurementRecord.from_json(line)
+            assert str(got.value) == str(exc)
         else:
             got = mc.read_records(records_path)
             assert list(map(record_fields, got)) == [record_fields(want)]
+            assert record_fields(mc.MeasurementRecord.from_json(line)) == record_fields(want)
 
     @hypothesis.settings(max_examples=200)
     @given(record_groups(), st.data())
@@ -518,7 +614,7 @@ class TestRecordProperties:
         path = tmp_path_factory.mktemp("records") / "records.jsonl"
         path.write_text("".join(f"{line}\n" for line in lines))
         try:
-            want = [mc._walked_record(json.loads(line)) for line in lines]
+            want = [reference_walked_record(json.loads(line)) for line in lines]
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
                 mc.read_records(path)

@@ -376,6 +376,16 @@ class TestMetricSweep:
         with pytest.raises(ValueError):
             states.metric_sweep(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize(
+        "alpha_min, alpha_max, name",
+        [(0.0, np.inf, "alpha_max"), (0.0, np.nan, "alpha_max"), (-1.0, 3.0, "alpha_min"),
+         (-np.inf, 3.0, "alpha_min")],
+    )
+    def test_bounds_must_be_finite_and_nonnegative(self, alpha_min, alpha_max, name):
+        # an alpha RunConfig refuses is refused here too, named, before any row
+        with pytest.raises(ValueError, match=f"^{name}=.* must be finite and nonnegative$"):
+            states.metric_sweep(alpha_min, alpha_max, 7)
+
     def test_alpha_zero_row(self):
         table = states.metric_sweep(0.0, 3.0, 7)
         row = table[0]
