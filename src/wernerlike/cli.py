@@ -163,9 +163,9 @@ def _read_json_object(path):
 def cmd_metrics(config, args, outdir):
     table = states.metric_sweep(args.alpha_min, args.alpha_max, args.steps)
     alpha_star = states.fidelity_threshold()
-    star_row = np.array([states.metric_row(alpha_star)])
-    pos = int(np.searchsorted(table[:, 0], alpha_star))
-    table = np.insert(table, pos, star_row, axis=0)
+    if args.alpha_min <= alpha_star <= args.alpha_max:
+        pos = int(np.searchsorted(table[:, 0], alpha_star))
+        table = np.insert(table, pos, states.metric_row(alpha_star), axis=0)
     csv_path = outdir / "metrics.csv"
     states.write_metrics_csv(
         csv_path,
@@ -277,7 +277,8 @@ def _manifest_problems(path, payload):
 def cmd_reconstruct(config, args, outdir):
     records_dir = Path(args.records) if args.records else outdir
     base = config.settings()
-    truth = config.truth_state()
+    # the true state only where it is used: it may not fit the cutoff
+    truth = config.truth_state() if args.exact or args.truth else None
     if args.exact:
         datas = [
             tomography.exact_marginal_data(truth, config.settings(*angles))

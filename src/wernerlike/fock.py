@@ -64,6 +64,7 @@ SIGMA3 = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 HERMITIAN_TOL = 1e-8  # largest deviation from Hermitian ``hermitian_eigenvalues`` accepts
 SUPPORT_TOL = 1e-13  # norm a displaced number state may lose past ``displaced_support``'s rows
+NORM_LOSS_TOL = 1e-6  # norm a state may lose to its cutoff, built or pulsed, before it is refused
 
 
 class TruncationError(ValueError):
@@ -78,8 +79,8 @@ def _log_factorials(n):
 def coherent_state(alpha, dim):
     """Fock amplitudes c_n = exp(-|a|^2/2) a^n / sqrt(n!) for n < dim.
 
-    Raises TruncationError when the truncated vector loses more than 1e-6
-    of its norm.
+    Raises TruncationError when the truncated vector loses more than
+    NORM_LOSS_TOL of its norm.
     """
     if dim < 1:
         raise ValueError("dim must be a positive integer")
@@ -92,7 +93,7 @@ def coherent_state(alpha, dim):
     mag = np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * _log_factorials(dim))
     amp = mag * (alpha / abs(alpha)) ** n
     norm = np.linalg.norm(amp)
-    if norm < 1.0 - 1e-6:
+    if norm < 1.0 - NORM_LOSS_TOL:
         raise TruncationError(
             f"cutoff {dim} too small for coherent amplitude |alpha|={abs(alpha):.4g}"
             f" (truncated norm {norm:.8f})"

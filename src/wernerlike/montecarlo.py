@@ -320,16 +320,16 @@ def write_records(path, records):
 def read_records(path):
     """Records of a JSON-lines file; a bad line raises a ValueError naming its number.
 
-    Each line is parsed once and each field's check runs over its whole
-    column; if a line does not parse or a column fails, the same checks walk
-    the parsed lines in order and the first bad line is named.
+    Each line is parsed once, without its newline, and each field's check runs
+    over its whole column; if a line does not parse or a column fails, the
+    same checks walk the parsed lines in order and the first bad line is named.
     """
     with open(path) as fh:
         numbered = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
     objs = []
     try:
         for _, line in numbered:
-            objs.append(json.loads(line))
+            objs.append(json.loads(line.rstrip("\n")))
         return list(map(MeasurementRecord, *[check(_column(objs, name))
                                              for name, check in _FIELDS]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -32,7 +32,6 @@ __all__ = [
     "build_hybrid_mixture",
     "build_mapped_qubit",
     "kappa_from_alpha",
-    "mapped_qubit_from_alpha",
     "von_neumann_entropy",
     "partial_transpose",
     "negativity",
@@ -54,7 +53,7 @@ PAULI_PRODUCTS = np.array([[np.kron(p, q) for q in _PAULI_BASIS] for p in _PAULI
 CLASSICAL_FIDELITY = 2.0 / 3.0
 
 NEGATIVE_EIGENVALUE_TOL = 1e-10
-TRACE_TOL = 1e-10  # how far ``HybridState.validate`` lets the trace stray from 1
+TRACE_TOL = 1e-10  # how far a density matrix's trace may stray from 1
 MONOTONICITY_ATOL = 1e-12  # drop between alpha steps still counted as nondecreasing
 
 
@@ -112,20 +111,25 @@ class HybridState:
         out[d:, d:] = self.uu
         return out
 
-    def trace(self):
-        return complex(np.trace(self.uu) + np.trace(self.dd))
-
     def validate(self):
-        tr = self.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr} deviates from 1")
-        vals = hermitian_eigenvalues(self.to_matrix())
-        if vals[-1] < -NEGATIVE_EIGENVALUE_TOL:
-            raise ValueError(f"operator not positive semidefinite (min eig {vals[-1]:.3e})")
+        _density_eigenvalues(self.to_matrix())
         return self
 
 
-def build_hybrid_mixture(alpha, dim=32):
+def _density_eigenvalues(rho):
+    """Descending eigenvalues of a density matrix: a ValueError unless its
+    trace lies within TRACE_TOL of 1 and no eigenvalue lies below
+    -NEGATIVE_EIGENVALUE_TOL."""
+    tr = np.trace(rho)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
+    vals = hermitian_eigenvalues(rho)
+    if vals[-1] < -NEGATIVE_EIGENVALUE_TOL:
+        raise ValueError(f"not a density operator (min eigenvalue {vals[-1]:.3e})")
+    return vals
+
+
+def build_hybrid_mixture(alpha, dim):
     """Equal-weight spin randomness plus a pseudo-singlet of coherent states.
 
     Blocks (closed forms):
@@ -168,24 +172,13 @@ def build_mapped_qubit(kappa):
     return random_part + 0.25 * np.outer(v, v.conj())
 
 
-def mapped_qubit_from_alpha(alpha):
-    return build_mapped_qubit(kappa_from_alpha(alpha))
-
-
 # ----------------------------------------------------------------------
 # metrics
 # ----------------------------------------------------------------------
 
 def von_neumann_entropy(rho):
     """S = -sum_i lambda_i log2 lambda_i in bits, 0 log 0 = 0, of a density matrix."""
-    m = np.asarray(rho, dtype=complex)
-    tr = np.trace(m).real
-    if abs(tr - 1.0) > 1e-6:
-        raise ValueError(f"trace {tr} deviates from 1 beyond 1e-6")
-    vals = hermitian_eigenvalues(m)
-    if vals[-1] < -NEGATIVE_EIGENVALUE_TOL:
-        raise ValueError(f"not a density operator (min eigenvalue {vals[-1]:.3e})")
-    vals = np.clip(vals, 0.0, None)
+    vals = np.clip(_density_eigenvalues(rho), 0.0, None)
     pos = vals[vals > 0.0]
     return float(-(pos * np.log2(pos)).sum())
 

@@ -19,14 +19,14 @@ detector efficiency; ``montecarlo.sample_records`` draws the records from the
 mixture.
 """
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import montecarlo
-from .fock import SPIN_DOWN, SPIN_UP, displaced_support, displacement_matrix, spin_rotation
+from .fock import NORM_LOSS_TOL, SPIN_DOWN, SPIN_UP, TruncationError, displaced_support
+from .fock import displacement_matrix, spin_rotation
 from .tomography import binomial_matrix, detected_window
 
 __all__ = [
@@ -63,8 +63,9 @@ class ConditionalDisplacement:
 
 
 def apply_pulse(amplitudes, pulse):
-    """One unitary pulse on (2, dim) amplitudes; warns when truncation eats
-    more than 1e-6 of the norm."""
+    """One unitary pulse on (2, dim) amplitudes; raises TruncationError when
+    truncation eats more than NORM_LOSS_TOL of the norm, as ``coherent_state``
+    does."""
     dim = amplitudes.shape[1]
     if isinstance(pulse, SpinRotation):
         out = spin_rotation(pulse.theta, pulse.phi) @ amplitudes
@@ -79,10 +80,10 @@ def apply_pulse(amplitudes, pulse):
     else:
         raise TypeError(f"unknown pulse type {type(pulse).__name__}")
     norm = np.linalg.norm(out)
-    if norm < 1.0 - 1e-6:
-        warnings.warn(
-            f"pulse {pulse!r} lost {1.0 - norm:.2e} of the norm to truncation",
-            stacklevel=2,
+    if norm < 1.0 - NORM_LOSS_TOL:
+        raise TruncationError(
+            f"cutoff {dim} too small for pulse {pulse!r}: it lost {1.0 - norm:.2e}"
+            " of the norm to truncation"
         )
     return out
 
@@ -138,7 +139,7 @@ def component_state(label, alpha, dim):
     return amplitudes
 
 
-def simulate_trap_acquisition(alpha, settings, events_per_phase, seed, dim=32,
+def simulate_trap_acquisition(alpha, settings, events_per_phase, seed, dim,
                               setting_index=0):
     """Record files from the pulse-level backend, drop-in compatible with the
     density-operator simulator.

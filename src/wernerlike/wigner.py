@@ -41,7 +41,7 @@ NORMALIZATION_TOL = 1e-3  # largest |grid integral - block trace| accepted
 CHUNK_POINTS = 512  # grid points per kernel call in ``wigner_grid``
 
 
-def default_axes(alpha, re_pad=3.0, spacing=0.1, im_extent=3.0):
+def default_axes(alpha, re_pad, spacing, im_extent):
     """Symmetric grids containing 0; Re axis covers +-(alpha + re_pad).
 
     Raises ValueError unless the spacing is positive and finite and each

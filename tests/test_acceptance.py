@@ -82,7 +82,7 @@ def test_criterion_1_threshold_reproduction():
 
 def test_criterion_2_saturation_values():
     start = time.perf_counter()
-    rho = states.mapped_qubit_from_alpha(3.0)
+    rho = states.build_mapped_qubit(states.kappa_from_alpha(3.0))
     e_val = states.negativity(rho)
     f_val = states.teleportation_fidelity(rho)
     elapsed = time.perf_counter() - start
@@ -190,7 +190,7 @@ def test_criterion_7_wigner_structure(truth32):
     # Gaussian pair (separation 2.8 sigma) is not bimodal - the +alpha hill
     # survives only as a shoulder (two maxima appear above alpha ~ 0.85) -
     # so the two-maxima clause is asserted as stated and fails honestly.
-    re_axis, im_axis = wg.default_axes(FIG4_ALPHA, spacing=0.1)
+    re_axis, im_axis = wg.default_axes(FIG4_ALPHA, 3.0, 0.1, 3.0)
     grid = wg.wigner_grid(state_blocks(truth32), re_axis, im_axis)
     grid.check_normalization({"uu": 0.5, "dd": 0.5, "ud": np.trace(truth32.ud)})
     norm_ok = bool(grid.meta["normalization_ok"])

@@ -113,6 +113,17 @@ class TestMetricsArguments:
         assert "alpha_max" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
+    def test_threshold_row_only_inside_the_range(self, tmp_path, config_path):
+        # alpha* = 0.26818 lies below [0.5, 1]: the sweep's 3 rows, no fourth
+        out = tmp_path / "m"
+        assert run_cli("--config", config_path, "--out", out, "metrics",
+                       "--alpha-min", 0.5, "--alpha-max", 1.0, "--steps", 3) == EXIT_OK
+        table, _ = read_metrics_csv(out / "metrics.csv")
+        np.testing.assert_array_equal(table[:, 0], [0.5, 0.75, 1.0])
+        meta = json.loads((out / "metrics_meta.json").read_text())
+        assert meta["rows"] == 3
+        assert meta["fidelity_threshold_alpha"] == states.fidelity_threshold()
+
 
 class TestSimulateReconstruct:
     def test_pipeline(self, tmp_path, config_path):
@@ -306,6 +317,29 @@ class TestSimulateReconstruct:
             assert (report is not None) == compared
             assert any(line.startswith("block ") for line in printed) == compared
 
+    def test_no_truth_builds_no_truth(self, tmp_path, config_path):
+        # records of alpha 0.7 with no manifest, inverted under alpha 5.5, whose
+        # coherent states the cutoff 16 cannot hold: only the comparison needs them
+        out = tmp_path / "run"
+        assert run_cli("--config", config_path, "--out", out, "simulate") == EXIT_OK
+        (out / "manifest.json").unlink()
+        path = tmp_path / "wide.cfg"
+        path.write_text(SMALL_CONFIG.replace("alpha = 0.7", "alpha = 5.5"))
+        assert run_cli("--config", path, "--out", out, "reconstruct", "--no-truth") == EXIT_OK
+        assert run_cli("--config", path, "--out", out, "reconstruct") == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("backend", ["density", "trap"])
+    def test_state_past_the_cutoff_refused(self, tmp_path, capsys, backend):
+        # |alpha| 5.5 loses 22.5 % of its norm past cutoff 32: both backends
+        # refuse it before a record file is written
+        path = tmp_path / "run.cfg"
+        path.write_text(f"backend = {backend}\nalpha = 5.5\nn_cutoff = 8\nn_max = 8\n"
+                        "n_phases = 24\nevents_per_phase = 200\n")
+        out = tmp_path / "run"
+        assert run_cli("--config", path, "--out", out, "simulate") == EXIT_VALIDATION
+        assert "cutoff 32 too small" in capsys.readouterr().err
+        assert not list(out.glob("records_g*.jsonl"))
+
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
@@ -432,7 +466,7 @@ def test_outputs_match_pinned_hashes(tmp_path):
     assert report["pooled_within_3sigma"] == 1.0
 
     blocks = state_blocks(estimate.to_state())
-    grid = wigner.wigner_grid(blocks, *wigner.default_axes(config.alpha))
+    grid = wigner.wigner_grid(blocks, *wigner.default_axes(config.alpha, 3.0, 0.1, 3.0))
     got = read_surfaces(out / "wigner_recon.csv")
     scale = max(np.max(np.abs(w)) for w in grid.blocks.values())
     for name in wigner.BLOCK_NAMES:

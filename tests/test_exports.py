@@ -1,15 +1,21 @@
 """The public API: each module's ``__all__``, the names the package
 ``__init__`` re-exports (none) and the parameters with a default of each
 public function and method exist and equal the lists written here, so a
-change to the API, a new knob included, shows up as a change to this file."""
+change to the API, a new knob included, shows up as a change to this file.
+A small run of every CLI stage calls each public entry, so none exists only
+for tests."""
 
 import ast
 import importlib
+import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
 import wernerlike
+from test_cli import SMALL_CONFIG
+from wernerlike import cli
 
 PUBLIC = {
     "fock": [
@@ -19,8 +25,8 @@ PUBLIC = {
     ],
     "states": [
         "BracketError", "HybridState", "HSDecomposition", "build_hybrid_mixture",
-        "build_mapped_qubit", "kappa_from_alpha", "mapped_qubit_from_alpha",
-        "von_neumann_entropy", "partial_transpose", "negativity",
+        "build_mapped_qubit", "kappa_from_alpha", "von_neumann_entropy",
+        "partial_transpose", "negativity",
         "hilbert_schmidt_decomposition", "teleportation_fidelity", "fidelity_threshold",
         "metric_sweep", "sweep_monotonicity", "write_metrics_csv", "METRIC_COLUMNS",
         "CLASSICAL_FIDELITY",
@@ -54,14 +60,27 @@ DEFAULTED = {
     "cli.run": ["argv"],
     "cli.main": ["argv"],
     "montecarlo.simulate_acquisition": ["setting_index"],
-    "states.build_hybrid_mixture": ["dim"],
     "states.fidelity_threshold": ["level"],
     "states.write_metrics_csv": ["comments"],
     "tomography.reconstruct_full": ["systems"],
     "tomography.write_estimate_json": ["extra"],
-    "trapsim.simulate_trap_acquisition": ["dim", "setting_index"],
-    "wigner.default_axes": ["re_pad", "spacing", "im_extent"],
+    "trapsim.simulate_trap_acquisition": ["setting_index"],
     "wigner.write_grid_csv": ["comments"],
+}
+
+#: public entries that no CLI stage calls, each with the reason it stays
+UNREACHED = {
+    "montecarlo.MeasurementRecord.from_json":
+        "perfbench/test_perfbench.py reads a record line through it",
+}
+
+#: a session of every stage, each stage's arguments after --config and --out
+SESSION = {
+    "density": [
+        ["metrics"], ["simulate"], ["reconstruct"], ["reconstruct", "--exact"],
+        ["wigner", "--source", "both"], ["verify"],
+    ],
+    "trap": [["simulate"], ["reconstruct"]],
 }
 
 
@@ -104,3 +123,43 @@ def test_defaulted_parameters_are_listed():
                     if names:
                         found[f"{prefix}.{node.name}"] = names
     assert found == DEFAULTED
+
+
+def public_entries():
+    """{qualified name: function} of every public function, and every public
+    method or property of a public class, of the modules in PUBLIC; a cached
+    function is named by the function its cache wraps."""
+    entries = {}
+    for name in PUBLIC:
+        module = importlib.import_module(f"wernerlike.{name}")
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            if inspect.isclass(obj):
+                for member, value in vars(obj).items():
+                    value = getattr(value, "fget", getattr(value, "__func__", value))
+                    if not member.startswith("_") and inspect.isfunction(value):
+                        entries[f"{name}.{attr}.{member}"] = value
+            elif callable(obj):
+                entries[f"{name}.{attr}"] = inspect.unwrap(obj)
+    return entries
+
+
+def test_a_run_reaches_every_public_entry(tmp_path):
+    entries = public_entries()
+    for name in PUBLIC:  # a cache hit would skip the function it wraps
+        module = importlib.import_module(f"wernerlike.{name}")
+        for attr in module.__all__:
+            getattr(getattr(module, attr), "cache_clear", lambda: None)()
+    called = set()
+    sys.setprofile(lambda frame, event, arg: event == "call" and called.add(frame.f_code))
+    try:
+        for backend, stages in SESSION.items():
+            config = tmp_path / f"{backend}.cfg"
+            config.write_text(SMALL_CONFIG.replace("backend = density", f"backend = {backend}"))
+            for stage in stages:
+                argv = ["--config", str(config), "--out", str(tmp_path / backend), *stage]
+                assert cli.main(argv) == cli.EXIT_OK, argv
+    finally:
+        sys.setprofile(None)
+    unreached = sorted(name for name, fn in entries.items() if fn.__code__ not in called)
+    assert unreached == sorted(UNREACHED)

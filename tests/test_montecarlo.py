@@ -356,7 +356,7 @@ class TestRecords:
         monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or loads(text))
         with pytest.raises(ValueError, match=f"^line {len(lines)}: "):
             mc.read_records(path)
-        assert calls == path.read_text().splitlines(keepends=True)
+        assert calls == path.read_text().splitlines()
 
     @pytest.mark.parametrize("later", FAULTS)
     @pytest.mark.parametrize("earlier", FAULTS)
@@ -367,8 +367,8 @@ class TestRecords:
         lines[5] = faulty_line(lines[5], later)
         path = tmp_path / "records.jsonl"
         path.write_text("".join(f"{line}\n" for line in lines))
-        try:  # the line as read, with its newline, which a JSON error counts
-            reference_walked_record(json.loads(f"{lines[2]}\n"))
+        try:  # the line as written, without its newline
+            reference_walked_record(json.loads(lines[2]))
         except ValueError as exc:
             message = f"line 3: {exc}"
         with pytest.raises(ValueError) as got:

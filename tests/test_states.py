@@ -94,7 +94,8 @@ def bisection_threshold(level, bracket=(1e-4, 2.0), tol=1e-6):
     lo, hi = float(bracket[0]), float(bracket[1])
 
     def gap(a):
-        return states.teleportation_fidelity(states.mapped_qubit_from_alpha(a)) - level
+        rho = states.build_mapped_qubit(states.kappa_from_alpha(a))
+        return states.teleportation_fidelity(rho) - level
 
     glo, ghi = gap(lo), gap(hi)
     if glo == 0.0:
@@ -250,6 +251,17 @@ class TestEntropy:
         with pytest.raises(ValueError):
             states.von_neumann_entropy(np.eye(4) / 2)
 
+    def test_trace_rule_of_the_hybrid_state(self):
+        # the entropy accepts a trace exactly as far from 1 as HybridState.validate
+        rho = states.build_mapped_qubit(1.0)
+        for excess in (1e-8, -1e-8):
+            with pytest.raises(ValueError, match="trace"):
+                states.von_neumann_entropy(rho * (1.0 + excess))
+        blocks = states.build_hybrid_mixture(0.7, 16)
+        with pytest.raises(ValueError, match="trace"):
+            states.HybridState.from_blocks(blocks.uu * (1 + 1e-8), blocks.ud, blocks.dd).validate()
+        assert states.von_neumann_entropy(rho * (1.0 + 1e-12)) > 0.0
+
     def test_rejects_negative_operator(self):
         bad = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError):
@@ -345,15 +357,18 @@ class TestTeleportationFidelity:
 
     def test_threshold_root(self):
         alpha_star = states.fidelity_threshold()
-        f = states.teleportation_fidelity(states.mapped_qubit_from_alpha(alpha_star))
+        rho = states.build_mapped_qubit(states.kappa_from_alpha(alpha_star))
+        f = states.teleportation_fidelity(rho)
         assert abs(f - 2 / 3) < 1e-5
         # closed form of the crossing: kappa^2 = 3/4, alpha = sqrt(ln(4/3))/2
         assert abs(alpha_star - np.sqrt(np.log(4 / 3)) / 2) < 1e-6
 
     def test_threshold_brackets_level(self):
         alpha_star = states.fidelity_threshold()
-        below = states.teleportation_fidelity(states.mapped_qubit_from_alpha(alpha_star - 0.05))
-        above = states.teleportation_fidelity(states.mapped_qubit_from_alpha(alpha_star + 0.05))
+        below, above = (
+            states.teleportation_fidelity(states.build_mapped_qubit(states.kappa_from_alpha(a)))
+            for a in (alpha_star - 0.05, alpha_star + 0.05)
+        )
         assert below < 2 / 3 < above
 
     def test_unreachable_level_signals(self):

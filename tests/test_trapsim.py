@@ -46,9 +46,12 @@ class TestPulses:
             state = ts.apply_pulse(state, pulse)
         assert abs(np.linalg.norm(state) - 1.0) < 1e-8
 
-    def test_truncation_warning(self):
-        with pytest.warns(UserWarning, match="truncation"):
+    def test_truncation_refused(self):
+        # the pulse obeys coherent_state's rule: one tolerance, one error
+        with pytest.raises(fock.TruncationError, match=r"cutoff 6 .* lost 3\.63e-01 of the norm"):
             ts.apply_pulse(spin_up_vacuum(6), ts.Displacement(2.5))
+        with pytest.raises(fock.TruncationError):
+            fock.coherent_state(2.5, 6)
 
     def test_unknown_pulse_rejected(self):
         with pytest.raises(TypeError):

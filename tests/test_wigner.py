@@ -128,7 +128,7 @@ def hybrid07():
 
 @pytest.fixture(scope="module")
 def grid07(hybrid07):
-    re_axis, im_axis = wg.default_axes(0.7, spacing=0.1)
+    re_axis, im_axis = wg.default_axes(0.7, 3.0, 0.1, 3.0)
     grid = wg.wigner_grid(state_blocks(hybrid07), re_axis, im_axis)
     grid.check_normalization({"uu": 0.5, "dd": 0.5, "ud": np.trace(hybrid07.ud)})
     return grid
@@ -291,7 +291,7 @@ class TestWignerGrid:
         scale = 4e4
         blocks = random_blocks(rng, (20, 32, 32, 20), scale)
         if axes == "default":
-            re_axis, im_axis = wg.default_axes(0.7)
+            re_axis, im_axis = wg.default_axes(0.7, 3.0, 0.1, 3.0)
         else:  # no symmetry: every |gamma| distinct but the origin's
             re_axis = np.array([-2.9, -1.13, -0.4, 0.0, 0.52, 1.7, 3.3])
             im_axis = np.array([-2.2, -0.35, 0.0, 0.81, 2.6])
