@@ -18,10 +18,10 @@ separators:
 ``MeasurementRecord.to_json`` fills one fixed template instead of calling
 ``json.dumps`` on a dict, and must give the same bytes: a float field is
 written by ``float.__repr__`` (so numpy's float64 writes as a plain number),
-an int field by ``int.__repr__``, anything else by ``json.dumps``; a count
-list is ``str`` of its integer array's ``tolist()``, and an overflow its
-``int()``.  Record files are pinned byte for byte, so a change here is a
-format change.
+an integral field other than a bool (a numpy integer too) by ``int.__repr__``
+of its ``int()``, anything else by ``json.dumps``; a count list is ``str`` of
+its integer array's ``tolist()``.  Record files are pinned byte for byte, so a
+change here is a format change.
 
 Phase j of setting group g draws from its own stream: the PCG64 generator
 seeded by ``SeedSequence(seed, spawn_key=(g, j))``, so phases can be sampled
@@ -66,8 +66,8 @@ class MeasurementRecord:
     seed: int
     counts_up: np.ndarray
     counts_down: np.ndarray
-    overflow_up: int = 0
-    overflow_down: int = 0
+    overflow_up: int
+    overflow_down: int
 
     def to_json(self):
         return _RECORD_LINE % (
@@ -80,8 +80,8 @@ class MeasurementRecord:
             _json_scalar(self.seed),
             np.asarray(self.counts_up).tolist(),
             np.asarray(self.counts_down).tolist(),
-            int(self.overflow_up),
-            int(self.overflow_down),
+            _json_scalar(self.overflow_up),
+            _json_scalar(self.overflow_down),
         )
 
     @classmethod
@@ -96,17 +96,21 @@ class MeasurementRecord:
 _RECORD_LINE = (
     '{"setting": {"theta": %s, "phi_spin": %s, "beta_abs": %s}, "phase_index": %s,'
     ' "n_phases": %s, "total_events": %s, "seed": %s, "counts_up": %s, "counts_down": %s,'
-    ' "overflow_up": %d, "overflow_down": %d}'
+    ' "overflow_up": %s, "overflow_down": %s}'
 )
 
 
 def _json_scalar(value):
-    # json.dumps(value) without its dispatch for the two types records hold;
-    # it writes NaN and Infinity, which float.__repr__ does not
+    # json.dumps(value) without its dispatch for the numbers records hold: an
+    # integral number other than a bool (a numpy integer too) writes as its
+    # int, a finite float by its repr, anything else (NaN and Infinity too) by
+    # json.dumps; the first test is the third's fast path
     if type(value) is int:
         return int.__repr__(value)
     if isinstance(value, float) and math.isfinite(value):
         return float.__repr__(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int.__repr__(int(value))
     return json.dumps(value)
 
 
@@ -301,9 +305,10 @@ def sample_records(settings, events_per_phase, seed, setting_index, weights, win
     ]
 
 
-def simulate_acquisition(state, settings, events_per_phase, seed, setting_index=0):
-    """Sample one full setting group from the smeared forward model: a
-    one-component mixture, whose weight draw takes no random numbers."""
+def simulate_acquisition(state, settings, events_per_phase, seed, setting_index):
+    """Sample setting group ``setting_index`` (each group has its own phase
+    streams) from the smeared forward model: a one-component mixture, whose
+    weight draw takes no random numbers."""
     window, overflow = smeared_marginal_tables(state, settings)
     return sample_records(
         settings, events_per_phase, seed, setting_index, (1.0,), window[None], overflow[None]

@@ -26,7 +26,6 @@ from .fock import (
 )
 
 __all__ = [
-    "BracketError",
     "HybridState",
     "HSDecomposition",
     "build_hybrid_mixture",
@@ -55,10 +54,6 @@ CLASSICAL_FIDELITY = 2.0 / 3.0
 NEGATIVE_EIGENVALUE_TOL = 1e-10
 TRACE_TOL = 1e-10  # how far a density matrix's trace may stray from 1
 MONOTONICITY_ATOL = 1e-12  # drop between alpha steps still counted as nondecreasing
-
-
-class BracketError(ValueError):
-    """A teleportation-fidelity level that no finite coherent amplitude reaches."""
 
 
 # ----------------------------------------------------------------------
@@ -221,22 +216,16 @@ def teleportation_fidelity(rho):
     return float(0.5 * (1.0 + np.linalg.svd(t, compute_uv=False).sum() / 3.0))
 
 
-def fidelity_threshold(level=CLASSICAL_FIDELITY):
-    """Coherent amplitude at which the mapped-state fidelity reaches ``level``.
+def fidelity_threshold():
+    """Coherent amplitude at which the mapped-state fidelity reaches the
+    classical 2/3.
 
     T of the mapped qubit has singular values 1/2, s/2, s/2 with
     s = sqrt(1 - kappa^2), so F = 7/12 + s/6 rises from 7/12 at alpha = 0
-    towards 3/4.  The crossing is s = 6 level - 7/2, kappa = sqrt(1 - s^2),
-    alpha = sqrt(-ln(kappa) / 2) = sqrt(-ln(1 - s^2) / 4).  Raises
-    BracketError when s lies outside [0, 1), i.e. for level < 7/12 or
-    level >= 3/4.
+    towards 3/4 and crosses 2/3 at s = 1/2: kappa^2 = 3/4 and
+    alpha = sqrt(-ln(kappa) / 2) = sqrt(ln(4/3)) / 2.
     """
-    s = 6.0 * float(level) - 3.5
-    if not 0.0 <= s < 1.0:
-        raise BracketError(
-            f"fidelity level {level:.6g} lies outside [7/12, 3/4), the range of F(alpha)"
-        )
-    return float(np.sqrt(-0.25 * np.log1p(-s * s)))
+    return float(np.sqrt(np.log(4.0 / 3.0)) / 2.0)
 
 
 # ----------------------------------------------------------------------
@@ -279,9 +268,10 @@ def sweep_monotonicity(table):
     return flags
 
 
-def write_metrics_csv(path, table, comments=()):
-    """CSV export with header (alpha, kappa, entropy_bits, negativity,
-    fidelity); values round-trip exactly through repr precision."""
+def write_metrics_csv(path, table, comments):
+    """CSV export: a ``# `` line per comment, then the header (alpha, kappa,
+    entropy_bits, negativity, fidelity); values round-trip exactly through
+    repr precision."""
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")

@@ -113,8 +113,9 @@ class TomographySettings:
     """One measurement-setting group plus the inversion window.
 
     n_max is the top measured excitation (histogram over 0..n_max), n_cutoff
-    the reconstruction cutoff; n_phases must exceed 2*n_cutoff so no Fourier
-    order up to n_cutoff aliases on the discrete phase grid.
+    the reconstruction cutoff and eta the detection efficiency; n_phases must
+    exceed 2*n_cutoff so no Fourier order up to n_cutoff aliases on the
+    discrete phase grid.
     """
 
     theta: float
@@ -123,7 +124,7 @@ class TomographySettings:
     n_phases: int
     n_max: int
     n_cutoff: int
-    eta: float = 1.0
+    eta: float
 
     def __post_init__(self):
         if not (np.isfinite(self.beta_abs) and self.beta_abs > 0):
@@ -558,7 +559,7 @@ def error_report(estimate, truth_state):
     return report
 
 
-def write_estimate_json(path, estimate, extra=None):
+def write_estimate_json(path, estimate, extra):
     """JSON file of the estimate, then the ``extra`` keys: complex values as
     [re, im] pairs, sigma arrays parallel, the settings window and the
     per-order diagnostics."""
@@ -580,9 +581,8 @@ def write_estimate_json(path, estimate, extra=None):
             for name, est in (("uu", estimate.uu), ("dd", estimate.dd), ("ud", estimate.ud))
         },
         "orders": list(estimate.orders),
+        **extra,
     }
-    if extra:
-        payload.update(extra)
     with open(path, "w") as fh:
         fh.write(json.dumps(payload))
 

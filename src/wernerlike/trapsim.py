@@ -139,8 +139,7 @@ def component_state(label, alpha, dim):
     return amplitudes
 
 
-def simulate_trap_acquisition(alpha, settings, events_per_phase, seed, dim,
-                              setting_index=0):
+def simulate_trap_acquisition(alpha, settings, events_per_phase, seed, dim, setting_index):
     """Record files from the pulse-level backend, drop-in compatible with the
     density-operator simulator.
 

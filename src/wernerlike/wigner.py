@@ -21,7 +21,7 @@ once, e.g. the four blocks of both the true and the reconstructed state.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,7 @@ class WignerGrid:
     re_axis: np.ndarray
     im_axis: np.ndarray
     blocks: dict
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     @property
     def cell_area(self):
@@ -157,8 +157,9 @@ def profile_maxima(x, y):
     return out
 
 
-def write_grid_csv(path, grid, comments=()):
-    """Columns (re_gamma, im_gamma, block, re_W, im_W), one row per sample.
+def write_grid_csv(path, grid, comments):
+    """A ``# `` line per comment, then columns (re_gamma, im_gamma, block,
+    re_W, im_W), one row per sample.
 
     Rows end in CRLF and no field is quoted, as ``csv.writer`` writes them;
     ``%.12g`` writes the same digits as ``format(x, ".12g")``.

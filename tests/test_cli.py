@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -67,6 +68,16 @@ class TestConfig:
         with pytest.raises(cli.ConfigError):
             RunConfig.from_file(path)
 
+    def test_readme_lists_the_defaults(self, tmp_path):
+        # README's "Keys and defaults" block: every field, in order, at RunConfig()'s value
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.partition("and defaults:\n\n```\n")[2].partition("```")[0]
+        keys = [line.partition("=")[0].strip() for line in block.splitlines()]
+        assert keys == [field.name for field in dataclasses.fields(RunConfig)]
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        assert RunConfig.from_file(path) == RunConfig()
+
     def test_bad_backend_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("backend = tape\n")
@@ -99,9 +110,10 @@ class TestMetrics:
         zero_row = table[table[:, 0] == 0.0][0]
         assert zero_row[3] == 0.0
         # file parses back with identical values
-        states.write_metrics_csv(out / "again.csv", table)
-        back, _ = read_metrics_csv(out / "again.csv")
+        states.write_metrics_csv(out / "again.csv", table, comments)
+        back, back_comments = read_metrics_csv(out / "again.csv")
         np.testing.assert_array_equal(back, table)
+        assert back_comments == comments
 
 
 class TestMetricsArguments:

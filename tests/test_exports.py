@@ -1,11 +1,13 @@
 """The public API: each module's ``__all__``, the names the package
-``__init__`` re-exports (none) and the parameters with a default of each
-public function and method exist and equal the lists written here, so a
-change to the API, a new knob included, shows up as a change to this file.
+``__init__`` re-exports (none), the parameters with a default of each public
+function and method and the init fields with a default of each public
+dataclass exist and equal the lists written here, so a change to the API, a
+new knob or default included, shows up as a change to this file.
 A small run of every CLI stage calls each public entry, so none exists only
 for tests."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import sys
@@ -24,7 +26,7 @@ PUBLIC = {
         "displaced_support", "spin_rotation", "hermitian_eigenvalues",
     ],
     "states": [
-        "BracketError", "HybridState", "HSDecomposition", "build_hybrid_mixture",
+        "HybridState", "HSDecomposition", "build_hybrid_mixture",
         "build_mapped_qubit", "kappa_from_alpha", "von_neumann_entropy",
         "partial_transpose", "negativity",
         "hilbert_schmidt_decomposition", "teleportation_fidelity", "fidelity_threshold",
@@ -59,13 +61,16 @@ DEFAULTED = {
     "cli.RunConfig.settings": ["theta", "phi_spin"],
     "cli.run": ["argv"],
     "cli.main": ["argv"],
-    "montecarlo.simulate_acquisition": ["setting_index"],
-    "states.fidelity_threshold": ["level"],
-    "states.write_metrics_csv": ["comments"],
     "tomography.reconstruct_full": ["systems"],
-    "tomography.write_estimate_json": ["extra"],
-    "trapsim.simulate_trap_acquisition": ["setting_index"],
-    "wigner.write_grid_csv": ["comments"],
+}
+
+#: the init fields with a default of every public dataclass, module by module
+#: (cli included); each other field is required.  RunConfig's are the run's defaults.
+DEFAULTED_FIELDS = {
+    "cli.RunConfig": [
+        "alpha", "cutoff", "beta_abs", "n_max", "n_cutoff", "n_phases", "events_per_phase",
+        "eta", "seed", "backend",
+    ],
 }
 
 #: public entries that no CLI stage calls, each with the reason it stays
@@ -123,6 +128,22 @@ def test_defaulted_parameters_are_listed():
                     if names:
                         found[f"{prefix}.{node.name}"] = names
     assert found == DEFAULTED
+
+
+def test_defaulted_dataclass_fields_are_listed():
+    found = {}
+    for name in [*PUBLIC, "cli"]:
+        module = importlib.import_module(f"wernerlike.{name}")
+        for attr, obj in vars(module).items():
+            if (attr.startswith("_") or not inspect.isclass(obj)
+                    or not dataclasses.is_dataclass(obj) or obj.__module__ != module.__name__):
+                continue
+            missing = dataclasses.MISSING
+            names = [f.name for f in dataclasses.fields(obj) if f.init
+                     and (f.default is not missing or f.default_factory is not missing)]
+            if names:
+                found[f"{name}.{attr}"] = names
+    assert found == DEFAULTED_FIELDS
 
 
 def public_entries():

@@ -298,7 +298,7 @@ class TestDisplacedSupport:
         # K = 28 <= n_max = 31: the detected window of 32 counts folds the
         # search's 28 columns, and its rows past them are zero
         settings = tomography.TomographySettings(
-            theta=0.0, phi_spin=0.0, beta_abs=0.3, n_phases=14, n_max=31, n_cutoff=6,
+            theta=0.0, phi_spin=0.0, beta_abs=0.3, n_phases=14, n_max=31, n_cutoff=6, eta=1.0,
         )
         m, _ = tomography.inversion_systems.__wrapped__(settings)
         assert kernel_calls == [(7, 28)]

@@ -73,7 +73,7 @@ def reference_sample_records(settings, events_per_phase, seed, setting_index, we
 
 class TestSimulateAcquisition:
     def test_totals(self, state16):
-        records = mc.simulate_acquisition(state16, small_settings(), 700, seed=5)
+        records = mc.simulate_acquisition(state16, small_settings(), 700, seed=5, setting_index=0)
         assert len(records) == 24
         for rec in records:
             total = rec.counts_up.sum() + rec.counts_down.sum()
@@ -81,8 +81,8 @@ class TestSimulateAcquisition:
             assert total == 700
 
     def test_determinism(self, state16, tmp_path):
-        a = mc.simulate_acquisition(state16, small_settings(), 500, seed=9)
-        b = mc.simulate_acquisition(state16, small_settings(), 500, seed=9)
+        a = mc.simulate_acquisition(state16, small_settings(), 500, seed=9, setting_index=0)
+        b = mc.simulate_acquisition(state16, small_settings(), 500, seed=9, setting_index=0)
         for ra, rb in zip(a, b):
             np.testing.assert_array_equal(ra.counts_up, rb.counts_up)
             np.testing.assert_array_equal(ra.counts_down, rb.counts_down)
@@ -95,7 +95,7 @@ class TestSimulateAcquisition:
         # per-phase derived seeds: each phase's draw does not depend on the
         # order the phases are generated in
         settings = small_settings()
-        full = mc.simulate_acquisition(state16, settings, 300, seed=4)
+        full = mc.simulate_acquisition(state16, settings, 300, seed=4, setting_index=0)
         rng = phase_generator(4, 0, 13)
         window, overflow = tg.smeared_marginal_tables(state16, settings)
         counts, over = sample_phase_counts(rng, 300, window[:, 13, :], overflow[:, 13])
@@ -107,7 +107,7 @@ class TestSimulateAcquisition:
         # lumped per phase; fixed seed keeps this a regression-style check
         settings = small_settings()
         events = 2000
-        records = mc.simulate_acquisition(state16, settings, events, seed=21)
+        records = mc.simulate_acquisition(state16, settings, events, seed=21, setting_index=0)
         window, overflow = tg.smeared_marginal_tables(state16, settings)
         stat = 0.0
         dof = 0
@@ -202,7 +202,7 @@ class TestPhaseSeeding:
 
         monkeypatch.setattr(np.random, "PCG64", no_generator)
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-            mc.simulate_acquisition(state16, small_settings(), 100, seed=seed)
+            mc.simulate_acquisition(state16, small_settings(), 100, seed=seed, setting_index=0)
 
     @pytest.mark.parametrize("events", [None, True, 100.0, 0, -5],
                              ids=["none", "bool", "float", "zero", "negative"])
@@ -212,15 +212,21 @@ class TestPhaseSeeding:
 
         monkeypatch.setattr(np.random, "PCG64", no_generator)
         with pytest.raises(ValueError, match="events_per_phase must be a positive integer"):
-            mc.simulate_acquisition(state16, small_settings(), events, seed=1)
+            mc.simulate_acquisition(state16, small_settings(), events, seed=1, setting_index=0)
 
     def test_numpy_integer_event_count_is_taken_as_its_int(self, state16, tmp_path):
-        got = mc.simulate_acquisition(state16, small_settings(), np.int64(100), seed=1)
-        want = mc.simulate_acquisition(state16, small_settings(), 100, seed=1)
+        got = mc.simulate_acquisition(state16, small_settings(), np.int64(100), seed=1,
+                                      setting_index=0)
+        want = mc.simulate_acquisition(state16, small_settings(), 100, seed=1, setting_index=0)
         assert all(type(rec.total_events) is int for rec in got)
         mc.write_records(tmp_path / "got.jsonl", got)
         mc.write_records(tmp_path / "want.jsonl", want)
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+    def test_setting_index_is_required(self, state16):
+        # a group left unnumbered would draw from group 0's streams
+        with pytest.raises(TypeError, match="setting_index"):
+            mc.simulate_acquisition(state16, small_settings(), 100, seed=1)
 
     def test_negative_setting_index_refused(self, state16):
         # its words would never run out: the check comes before the seeding
@@ -228,8 +234,9 @@ class TestPhaseSeeding:
             mc.simulate_acquisition(state16, small_settings(), 100, seed=1, setting_index=-1)
 
     def test_numpy_integer_seed_is_taken_as_its_int(self, state16, tmp_path):
-        got = mc.simulate_acquisition(state16, small_settings(), 100, seed=np.int64(7))
-        want = mc.simulate_acquisition(state16, small_settings(), 100, seed=7)
+        got = mc.simulate_acquisition(state16, small_settings(), 100, seed=np.int64(7),
+                                      setting_index=0)
+        want = mc.simulate_acquisition(state16, small_settings(), 100, seed=7, setting_index=0)
         assert all(type(rec.seed) is int for rec in got)
         mc.write_records(tmp_path / "got.jsonl", got)
         mc.write_records(tmp_path / "want.jsonl", want)
@@ -257,7 +264,7 @@ def faulty_line(line, fault):
 
 class TestRecords:
     def test_jsonl_round_trip(self, state16, tmp_path):
-        records = mc.simulate_acquisition(state16, small_settings(), 400, seed=2)
+        records = mc.simulate_acquisition(state16, small_settings(), 400, seed=2, setting_index=0)
         path = tmp_path / "records.jsonl"
         mc.write_records(path, records)
         back = mc.read_records(path)
@@ -269,6 +276,12 @@ class TestRecords:
             np.testing.assert_array_equal(ra.counts_up, rb.counts_up)
             np.testing.assert_array_equal(ra.counts_down, rb.counts_down)
 
+    def test_numpy_integer_fields_write_as_their_ints(self, state16):
+        rec = mc.simulate_acquisition(state16, small_settings(), 100, seed=1, setting_index=0)[0]
+        names = ("phase_index", "n_phases", "total_events", "seed", "overflow_up", "overflow_down")
+        numpy_rec = dataclasses.replace(rec, **{n: np.int64(getattr(rec, n)) for n in names})
+        assert numpy_rec.to_json() == rec.to_json()
+
     def test_empty_group_writes_an_empty_file(self, tmp_path):
         path = tmp_path / "records.jsonl"
         mc.write_records(path, [])
@@ -277,7 +290,7 @@ class TestRecords:
     def test_wire_schema(self, state16):
         import json
 
-        rec = mc.simulate_acquisition(state16, small_settings(), 100, seed=1)[0]
+        rec = mc.simulate_acquisition(state16, small_settings(), 100, seed=1, setting_index=0)[0]
         obj = json.loads(rec.to_json())
         assert set(obj) == {
             "setting", "phase_index", "n_phases", "total_events", "seed",
@@ -302,8 +315,8 @@ class TestRecords:
     def test_non_integer_values_rejected(self, state16, field, value):
         import json
 
-        obj = json.loads(mc.simulate_acquisition(state16, small_settings(), 100, seed=1)[0]
-                         .to_json())
+        rec = mc.simulate_acquisition(state16, small_settings(), 100, seed=1, setting_index=0)[0]
+        obj = json.loads(rec.to_json())
         obj[field] = value
         with pytest.raises(ValueError, match=f"malformed field '{field}'"):
             mc.MeasurementRecord.from_json(json.dumps(obj))
@@ -312,7 +325,7 @@ class TestRecords:
     @pytest.mark.parametrize("field", ["overflow_up", "overflow_down"])
     def test_overflow_outside_int64_named(self, state16, tmp_path, field, value):
         lines = [rec.to_json() for rec in
-                 mc.simulate_acquisition(state16, small_settings(), 100, seed=1)]
+                 mc.simulate_acquisition(state16, small_settings(), 100, seed=1, setting_index=0)]
         obj = json.loads(lines[2])
         obj[field] = value
         lines[2] = json.dumps(obj)
@@ -331,7 +344,7 @@ class TestRecords:
     def test_setting_of_name_value_pairs_rejected(self, state16, tmp_path):
         # dict() builds a setting from [name, value] pairs; a record line must hold an object
         lines = [rec.to_json() for rec in
-                 mc.simulate_acquisition(state16, small_settings(), 100, seed=1)]
+                 mc.simulate_acquisition(state16, small_settings(), 100, seed=1, setting_index=0)]
         obj = json.loads(lines[2])
         obj["setting"] = [[name, value] for name, value in obj["setting"].items()]
         lines[2] = json.dumps(obj)
@@ -347,7 +360,7 @@ class TestRecords:
         # a file whose last line is bad: one json.loads call per line, the
         # walk reuses the parsed lines
         lines = [rec.to_json() for rec in
-                 mc.simulate_acquisition(state16, small_settings(), 100, seed=1)]
+                 mc.simulate_acquisition(state16, small_settings(), 100, seed=1, setting_index=0)]
         lines[-1] = faulty_line(lines[-1], fault)
         path = tmp_path / "records.jsonl"
         path.write_text("".join(f"{line}\n" for line in lines))
@@ -362,7 +375,7 @@ class TestRecords:
     @pytest.mark.parametrize("earlier", FAULTS)
     def test_first_of_two_bad_lines_named(self, state16, tmp_path, earlier, later):
         lines = [rec.to_json() for rec in
-                 mc.simulate_acquisition(state16, small_settings(), 100, seed=1)]
+                 mc.simulate_acquisition(state16, small_settings(), 100, seed=1, setting_index=0)]
         lines[2] = faulty_line(lines[2], earlier)
         lines[5] = faulty_line(lines[5], later)
         path = tmp_path / "records.jsonl"
@@ -630,6 +643,7 @@ class TestEstimateMarginals:
             theta=0.0, phi_spin=0.0, beta_abs=0.6, phase_index=0, n_phases=1,
             total_events=10**4, seed=0,
             counts_up=np.array([9000, 1000]), counts_down=np.array([0, 0]),
+            overflow_up=0, overflow_down=0,
         )
         data = mc.estimate_marginals([rec])
         assert data.w[fock.SPIN_UP, 0, 0] == 0.9
@@ -638,7 +652,7 @@ class TestEstimateMarginals:
         assert data.variance[fock.SPIN_DOWN, 0, 0] == 0.0
 
     def test_incomplete_phase_coverage(self, state16):
-        records = mc.simulate_acquisition(state16, small_settings(), 100, seed=3)
+        records = mc.simulate_acquisition(state16, small_settings(), 100, seed=3, setting_index=0)
         with pytest.raises(ValueError, match="phase"):
             mc.estimate_marginals(records[:-1])
 
@@ -649,7 +663,7 @@ class TestEstimateMarginals:
     )
     def test_claimed_phase_count_sizes_nothing(self, state16, n_phases, missing):
         # 24 records that claim more phases: the first 8 missing indices are named
-        records = mc.simulate_acquisition(state16, small_settings(), 100, seed=3)
+        records = mc.simulate_acquisition(state16, small_settings(), 100, seed=3, setting_index=0)
         for rec in records:
             rec.n_phases = n_phases
         with pytest.raises(ValueError) as got:
@@ -664,7 +678,8 @@ class TestEstimateMarginals:
         ids=["past-the-end", "negative", "in-place-of-1"],
     )
     def test_index_outside_the_phase_count_named(self, state16, indices, message):
-        records = mc.simulate_acquisition(state16, small_settings(), 100, seed=3)[:len(indices)]
+        records = mc.simulate_acquisition(state16, small_settings(), 100, seed=3, setting_index=0)
+        records = records[:len(indices)]
         for rec, j in zip(records, indices):
             rec.phase_index, rec.n_phases = j, 2
         with pytest.raises(ValueError) as got:
@@ -673,7 +688,7 @@ class TestEstimateMarginals:
 
     @pytest.mark.parametrize("position", ["appended", "in-place-of-6"])
     def test_repeated_phase_named(self, state16, position):
-        records = mc.simulate_acquisition(state16, small_settings(), 100, seed=3)
+        records = mc.simulate_acquisition(state16, small_settings(), 100, seed=3, setting_index=0)
         if position == "appended":
             records.append(dataclasses.replace(records[5]))
         else:
@@ -682,8 +697,9 @@ class TestEstimateMarginals:
             mc.estimate_marginals(records)
 
     def test_mixed_settings_rejected(self, state16):
-        a = mc.simulate_acquisition(state16, small_settings(), 100, seed=3)
-        b = mc.simulate_acquisition(state16, small_settings(theta=np.pi / 4), 100, seed=3)
+        a = mc.simulate_acquisition(state16, small_settings(), 100, seed=3, setting_index=0)
+        b = mc.simulate_acquisition(state16, small_settings(theta=np.pi / 4), 100, seed=3,
+                                    setting_index=0)
         with pytest.raises(ValueError, match="settings"):
             mc.estimate_marginals([b[0]] + a[1:])
 
@@ -703,7 +719,7 @@ class TestEstimateMarginals:
         ids=["negative", "unequal-length", "excess-events", "missing-event", "mixed-seed"],
     )
     def test_tampered_record_rejected(self, state16, tamper, message):
-        records = mc.simulate_acquisition(state16, small_settings(), 100, seed=3)
+        records = mc.simulate_acquisition(state16, small_settings(), 100, seed=3, setting_index=0)
         tamper(records[7])
         with pytest.raises(ValueError, match=message):
             mc.estimate_marginals(records)
@@ -716,7 +732,7 @@ class TestEstimateMarginals:
         acc = np.zeros_like(window)
         for seed in range(n_seeds):
             data = mc.estimate_marginals(
-                mc.simulate_acquisition(state16, settings, events, seed=seed)
+                mc.simulate_acquisition(state16, settings, events, seed=seed, setting_index=0)
             )
             acc += data.w
         mean = acc / n_seeds

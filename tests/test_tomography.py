@@ -110,11 +110,11 @@ def hybrid07():
 class TestSettings:
     def test_window_ordering_enforced(self):
         with pytest.raises(ValueError):
-            tg.TomographySettings(0.0, 0.0, 0.6, n_phases=96, n_max=10, n_cutoff=11)
+            tg.TomographySettings(0.0, 0.0, 0.6, n_phases=96, n_max=10, n_cutoff=11, eta=1.0)
 
     def test_phase_count_guard(self):
         with pytest.raises(ValueError):
-            tg.TomographySettings(0.0, 0.0, 0.6, n_phases=62, n_max=31, n_cutoff=31)
+            tg.TomographySettings(0.0, 0.0, 0.6, n_phases=62, n_max=31, n_cutoff=31, eta=1.0)
 
     def test_eta_range(self):
         with pytest.raises(ValueError):
@@ -122,7 +122,12 @@ class TestSettings:
 
     def test_beta_positive(self):
         with pytest.raises(ValueError):
-            tg.TomographySettings(0.0, 0.0, 0.0, n_phases=96, n_max=31, n_cutoff=31)
+            tg.TomographySettings(0.0, 0.0, 0.0, n_phases=96, n_max=31, n_cutoff=31, eta=1.0)
+
+    def test_eta_is_required(self):
+        # records taken at eta 0.9 would otherwise invert as if detection were perfect
+        with pytest.raises(TypeError, match="eta"):
+            tg.TomographySettings(0.0, 0.0, 0.6, n_phases=96, n_max=31, n_cutoff=31)
 
 
 class TestMarginal:
@@ -342,7 +347,7 @@ class TestPseudoInverse:
 
     def test_identity_system(self):
         base = tg.TomographySettings(
-            theta=0.0, phi_spin=0.0, beta_abs=1e-300, n_phases=36, n_max=15, n_cutoff=15,
+            theta=0.0, phi_spin=0.0, beta_abs=1e-300, n_phases=36, n_max=15, n_cutoff=15, eta=1.0,
         )
         m, diagnostics = tg.inversion_systems(base)
         np.testing.assert_allclose(m[0], np.eye(16), atol=1e-12)
@@ -394,7 +399,7 @@ class TestUnitEfficiencyFold:
     def test_inversion_systems_match_unfolded_path(self, n_cutoff, beta_abs, n_max):
         settings = tg.TomographySettings(
             theta=0.0, phi_spin=0.0, beta_abs=beta_abs,
-            n_phases=2 * n_cutoff + 2, n_max=n_max, n_cutoff=n_cutoff,
+            n_phases=2 * n_cutoff + 2, n_max=n_max, n_cutoff=n_cutoff, eta=1.0,
         )
         assert_systems_match(settings, unfolded_systems(settings))
 
@@ -456,7 +461,7 @@ class TestReconstruction:
         for n_phases in (96, 192):
             base = tg.TomographySettings(
                 theta=0.0, phi_spin=0.0, beta_abs=0.6,
-                n_phases=n_phases, n_max=31, n_cutoff=31,
+                n_phases=n_phases, n_max=31, n_cutoff=31, eta=1.0,
             )
             est = tg.reconstruct_full(exact_datas(hybrid07, base), base)
             results.append(est.uu.values)
@@ -469,7 +474,7 @@ class TestReconstruction:
         for beta in (0.8, 0.4, 0.2, 0.1):
             base = tg.TomographySettings(
                 theta=0.0, phi_spin=0.0, beta_abs=beta,
-                n_phases=20, n_max=7, n_cutoff=7,
+                n_phases=20, n_max=7, n_cutoff=7, eta=1.0,
             )
             est = tg.reconstruct_full(exact_datas(state, base), base)
             errors.append(float(np.max(np.abs(est.uu.values - state.uu))))
@@ -494,7 +499,7 @@ class TestReconstruction:
         base = settings_full()
         wrong = tg.TomographySettings(
             theta=0.0, phi_spin=0.0, beta_abs=0.7,
-            n_phases=96, n_max=31, n_cutoff=31,
+            n_phases=96, n_max=31, n_cutoff=31, eta=1.0,
         )
         with pytest.raises(ValueError, match="beta_abs"):
             tg.reconstruct_full(exact_datas(hybrid07, base), wrong)
@@ -616,7 +621,7 @@ class TestSerialization:
         base = settings_16(eta=0.9)
         est = tg.reconstruct_full(exact_datas(states.build_hybrid_mixture(0.7, 16), base), base)
         path = tmp_path / "est.json"
-        tg.write_estimate_json(path, est)
+        tg.write_estimate_json(path, est, {})
         payload = json.loads(path.read_text())
         target = payload["blocks"][block]
         target[part] = edit(target[part])
@@ -628,9 +633,9 @@ class TestSerialization:
 class TestForwardTableCache:
     def test_second_acquisition_reuses_the_tables(self, kernel_calls):
         state, settings = states.build_hybrid_mixture(0.7, 16), settings_16(eta=0.9)
-        first = montecarlo.simulate_acquisition(state, settings, 500, seed=4)
+        first = montecarlo.simulate_acquisition(state, settings, 500, seed=4, setting_index=0)
         kernel_calls.clear()
-        second = montecarlo.simulate_acquisition(state, settings, 500, seed=4)
+        second = montecarlo.simulate_acquisition(state, settings, 500, seed=4, setting_index=0)
         assert kernel_calls == []
         assert [r.to_json() for r in second] == [r.to_json() for r in first]
 

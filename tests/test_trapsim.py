@@ -131,7 +131,7 @@ class TestTrapAcquisition:
             theta=0.0, phi_spin=0.0, beta_abs=0.6,
             n_phases=20, n_max=9, n_cutoff=9, eta=0.9,
         )
-        recs = ts.simulate_trap_acquisition(0.7, settings, 300, seed=8, dim=16)
+        recs = ts.simulate_trap_acquisition(0.7, settings, 300, seed=8, dim=16, setting_index=0)
         assert len(recs) == 20
         for rec in recs:
             total = rec.counts_up.sum() + rec.counts_down.sum()
@@ -141,13 +141,20 @@ class TestTrapAcquisition:
         data = mc.estimate_marginals(recs)
         assert data.w.shape == (2, 20, 10)
 
+    def test_setting_index_is_required(self):
+        # a group left unnumbered would draw from group 0's streams
+        settings = tg.TomographySettings(
+            theta=0.0, phi_spin=0.0, beta_abs=0.6, n_phases=20, n_max=9, n_cutoff=9, eta=0.9)
+        with pytest.raises(TypeError, match="setting_index"):
+            ts.simulate_trap_acquisition(0.7, settings, 300, seed=8, dim=16)
+
     def test_determinism(self):
         settings = tg.TomographySettings(
             theta=np.pi / 4, phi_spin=0.0, beta_abs=0.6,
             n_phases=12, n_max=5, n_cutoff=5, eta=1.0,
         )
-        a = ts.simulate_trap_acquisition(0.5, settings, 200, seed=3, dim=12)
-        b = ts.simulate_trap_acquisition(0.5, settings, 200, seed=3, dim=12)
+        a = ts.simulate_trap_acquisition(0.5, settings, 200, seed=3, dim=12, setting_index=0)
+        b = ts.simulate_trap_acquisition(0.5, settings, 200, seed=3, dim=12, setting_index=0)
         for ra, rb in zip(a, b):
             np.testing.assert_array_equal(ra.counts_up, rb.counts_up)
             np.testing.assert_array_equal(ra.counts_down, rb.counts_down)
@@ -200,7 +207,7 @@ class TestTrapAcquisition:
             return []
 
         monkeypatch.setattr(mc, "sample_records", capture)
-        ts.simulate_trap_acquisition(0.7, settings, 100, seed=1, dim=dim)
+        ts.simulate_trap_acquisition(0.7, settings, 100, seed=1, dim=dim, setting_index=0)
         amps = np.stack([ts.component_state(lbl, 0.7, dim) for lbl in ts.COMPONENT_LABELS])
         rows = fock.displaced_support(dim - 1, settings.beta_abs).shape[1]
         u_inv = fock.spin_rotation(-settings.theta, settings.phi_spin)
@@ -232,7 +239,7 @@ class TestTrapAcquisition:
             return []
 
         monkeypatch.setattr(mc, "sample_records", capture)
-        ts.simulate_trap_acquisition(0.7, settings, 100, seed=1, dim=32)
+        ts.simulate_trap_acquisition(0.7, settings, 100, seed=1, dim=32, setting_index=0)
         assert captured["weights"] == ts.COMPONENT_WEIGHTS
         weights = np.asarray(captured["weights"])
         assert captured["window"].shape == (5, 2, 36, 16)

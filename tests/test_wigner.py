@@ -80,7 +80,7 @@ def per_point_grid(blocks, re_axis, im_axis, chunk=512):
     return {k: TWO_OVER_PI * values[:, i].reshape(shape) for i, k in enumerate(blocks)}
 
 
-def csv_writer_grid(path, grid, comments=()):
+def csv_writer_grid(path, grid, comments):
     """Reference: the former ``csv.writer`` export, row by row."""
     with open(path, "w", newline="") as fh:
         for line in comments:
@@ -97,7 +97,7 @@ def csv_writer_grid(path, grid, comments=()):
                     )
 
 
-def per_row_writer_grid(path, grid, comments=()):
+def per_row_writer_grid(path, grid, comments):
     """Reference: the former export, one f-string per row."""
     coords = [f"{gr:.12g},{gi:.12g}," for gi in grid.im_axis for gr in grid.re_axis]
     with open(path, "w", newline="") as fh:
@@ -238,7 +238,7 @@ class TestWignerGrid:
     def test_non_finite_integral_is_a_miss(self, grid07):
         blocks = {name: grid07.blocks[name].copy() for name in ("uu", "dd")}
         blocks["uu"][0, 0] = np.nan
-        grid = wg.WignerGrid(grid07.re_axis, grid07.im_axis, blocks)
+        grid = wg.WignerGrid(grid07.re_axis, grid07.im_axis, blocks, meta={})
         with pytest.warns(UserWarning, match="grid integrals"):
             grid.check_normalization({"uu": 0.5, "dd": 0.5})
         assert grid.meta["normalization_ok"] is False
@@ -317,7 +317,7 @@ class TestWignerGrid:
         state = states.build_hybrid_mixture(0.7, 16)
         base = tg.TomographySettings(
             theta=0.0, phi_spin=0.0, beta_abs=0.6,
-            n_phases=36, n_max=15, n_cutoff=15,
+            n_phases=36, n_max=15, n_cutoff=15, eta=1.0,
         )
         datas = [
             tg.exact_marginal_data(state, base.with_angles(*angles))
@@ -352,7 +352,7 @@ class TestExport:
         im_axis[0] = -0.0
         blocks = {name: grid07.blocks[name].copy() for name in wg.BLOCK_NAMES}
         blocks["uu"][0, :5] = [-0.0, 1e-300, -1e300 + 5e-324j, complex(-0.0, -0.0), np.nan]
-        grid = wg.WignerGrid(grid07.re_axis, im_axis, blocks)
+        grid = wg.WignerGrid(grid07.re_axis, im_axis, blocks, meta={})
         comments = ["config_hash=xyz", "seed=7"]
         wg.write_grid_csv(tmp_path / "got.csv", grid, comments=comments)
         csv_writer_grid(tmp_path / "ref.csv", grid, comments=comments)
@@ -369,7 +369,7 @@ class TestExport:
         blocks["ud"][1, : len(special)].real = special[::-1]
         blocks["ud"][1, : len(special)].imag = special
         blocks["dd"][-1, -len(special) :].imag = special
-        grid = wg.WignerGrid(re_axis, im_axis, blocks)
+        grid = wg.WignerGrid(re_axis, im_axis, blocks, meta={})
         comments = ["config_hash=xyz", "seed=7"]
         wg.write_grid_csv(tmp_path / "got.csv", grid, comments=comments)
         per_row_writer_grid(tmp_path / "ref.csv", grid, comments=comments)
