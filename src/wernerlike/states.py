@@ -27,14 +27,12 @@ from .fock import (
 
 __all__ = [
     "HybridState",
-    "HSDecomposition",
     "build_hybrid_mixture",
     "build_mapped_qubit",
     "kappa_from_alpha",
     "von_neumann_entropy",
     "partial_transpose",
     "negativity",
-    "hilbert_schmidt_decomposition",
     "teleportation_fidelity",
     "fidelity_threshold",
     "metric_sweep",
@@ -195,24 +193,11 @@ def negativity(rho):
     return float(-2.0 * neg.sum())
 
 
-@dataclass(frozen=True)
-class HSDecomposition:
-    """Bloch vectors r, s and correlation matrix t_nm = Tr[rho s_n (x) s_m]."""
-
-    r: np.ndarray
-    s: np.ndarray
-    t: np.ndarray
-
-
-def hilbert_schmidt_decomposition(rho):
-    """All 15 coefficients Tr[rho P_i (x) P_j] in one contraction."""
-    c = np.einsum("ab,ijba->ij", np.asarray(rho, dtype=complex), PAULI_PRODUCTS).real
-    return HSDecomposition(r=c[1:, 0], s=c[0, 1:], t=c[1:, 1:])
-
-
 def teleportation_fidelity(rho):
-    """F = (1/2)[1 + Tr sqrt(T^t T) / 3] via the singular values of T."""
-    t = hilbert_schmidt_decomposition(rho).t
+    """F = (1/2)[1 + Tr sqrt(T^t T) / 3] via the singular values of the
+    correlation matrix T_nm = Tr[rho sigma_n (x) sigma_m]."""
+    c = np.einsum("ab,ijba->ij", np.asarray(rho, dtype=complex), PAULI_PRODUCTS).real
+    t = c[1:, 1:]  # c[i, j] = Tr[rho P_i (x) P_j], P_0 = I
     return float(0.5 * (1.0 + np.linalg.svd(t, compute_uv=False).sum() / 3.0))
 
 

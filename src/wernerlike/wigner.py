@@ -15,9 +15,9 @@ r = m - n, as the tomography does:
     S_r(x) = sum_{m-n=r} f_mn(x) (-1)^n rho_nm,
 
 so a grid needs one real dim x dim Laguerre table per distinct |2 gamma|, not
-per point (a symmetric grid repeats each |gamma| up to eight times).  The
-per-order sums S_r are one small product per diagonal for all k blocks at
-once, e.g. the four blocks of both the true and the reconstructed state.
+per point (a symmetric grid repeats each |gamma| up to eight times).  Each S_r
+is one product of a table diagonal and a block diagonal for all k blocks at
+once, and its wave is added to the points order by order: no array holds both.
 """
 
 import warnings
@@ -135,13 +135,13 @@ def wigner_grid(blocks, re_axis, im_axis):
         idx = by_x[start : start + CHUNK_POINTS]
         distinct, which = np.unique(xs[idx], return_inverse=True)
         table = displacement_amplitudes_batch(distinct, dim, dim)
-        # sums[u, r, k] = S_r(x_u) of block k; f_mn with m - n = r lies on
-        # the table's diagonal -r
-        sums = np.empty((distinct.size, orders.size, len(blocks)), dtype=complex)
-        for i, r in enumerate(orders):
-            sums[:, i] = np.diagonal(table, -r, 1, 2) @ diagonals[i]
-        waves = np.exp(1j * np.outer(np.angle(points[idx]), orders))
-        values[idx] = np.einsum("pr,prk->pk", waves, sums[which])
+        angle = np.angle(points[idx])
+        chunk = np.zeros((idx.size, len(blocks)), dtype=complex)
+        for r, diagonal in zip(orders, diagonals):
+            # S_r(x_u) per block: f_mn with m - n = r lies on table diagonal -r
+            s_r = np.diagonal(table, -r, 1, 2) @ diagonal
+            chunk += np.exp(1j * (angle * r))[:, None] * s_r[which]
+        values[idx] = chunk
     shape = (im_axis.size, re_axis.size)
     surfaces = {k: 2.0 / np.pi * values[:, i].reshape(shape) for i, k in enumerate(blocks)}
     return WignerGrid(re_axis=re_axis, im_axis=im_axis, blocks=surfaces, meta={"state_dim": dim})

@@ -26,10 +26,9 @@ PUBLIC = {
         "displaced_support", "spin_rotation", "hermitian_eigenvalues",
     ],
     "states": [
-        "HybridState", "HSDecomposition", "build_hybrid_mixture",
+        "HybridState", "build_hybrid_mixture",
         "build_mapped_qubit", "kappa_from_alpha", "von_neumann_entropy",
-        "partial_transpose", "negativity",
-        "hilbert_schmidt_decomposition", "teleportation_fidelity", "fidelity_threshold",
+        "partial_transpose", "negativity", "teleportation_fidelity", "fidelity_threshold",
         "metric_sweep", "sweep_monotonicity", "write_metrics_csv", "METRIC_COLUMNS",
         "CLASSICAL_FIDELITY",
     ],

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -68,6 +69,22 @@ def random_product_qubit_pair(rng):
 
 PAULIS = (fock.SIGMA1, fock.SIGMA2, fock.SIGMA3)
 EYE2 = np.eye(2, dtype=complex)
+
+
+@dataclass(frozen=True)
+class HSDecomposition:
+    """Bloch vectors r, s and correlation matrix t_nm = Tr[rho s_n (x) s_m]."""
+
+    r: np.ndarray
+    s: np.ndarray
+    t: np.ndarray
+
+
+def hilbert_schmidt_decomposition(rho):
+    """Reference: all 15 coefficients Tr[rho P_i (x) P_j] in one contraction,
+    the one ``teleportation_fidelity`` reads T from."""
+    c = np.einsum("ab,ijba->ij", np.asarray(rho, dtype=complex), states.PAULI_PRODUCTS).real
+    return HSDecomposition(r=c[1:, 0], s=c[0, 1:], t=c[1:, 1:])
 
 
 def hs_reassemble(dec):
@@ -321,27 +338,27 @@ class TestNegativity:
 
 class TestHilbertSchmidt:
     def test_maximally_mixed(self):
-        dec = states.hilbert_schmidt_decomposition(np.eye(4) / 4)
+        dec = hilbert_schmidt_decomposition(np.eye(4) / 4)
         np.testing.assert_allclose(dec.r, 0.0, atol=1e-14)
         np.testing.assert_allclose(dec.s, 0.0, atol=1e-14)
         np.testing.assert_allclose(dec.t, 0.0, atol=1e-14)
 
     def test_singlet_correlations(self):
         v = pseudo_singlet_qubit()
-        dec = states.hilbert_schmidt_decomposition(np.outer(v, v.conj()))
+        dec = hilbert_schmidt_decomposition(np.outer(v, v.conj()))
         np.testing.assert_allclose(dec.t, -np.eye(3), atol=1e-12)
         np.testing.assert_allclose(dec.r, 0.0, atol=1e-12)
         np.testing.assert_allclose(dec.s, 0.0, atol=1e-12)
 
     def test_werner_correlations(self):
-        dec = states.hilbert_schmidt_decomposition(build_werner_qubit())
+        dec = hilbert_schmidt_decomposition(build_werner_qubit())
         np.testing.assert_allclose(dec.t, -0.5 * np.eye(3), atol=1e-12)
 
     def test_round_trip_random_states(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
             rho = random_density(rng, 4)
-            dec = states.hilbert_schmidt_decomposition(rho)
+            dec = hilbert_schmidt_decomposition(rho)
             np.testing.assert_allclose(hs_reassemble(dec), rho, atol=1e-10)
             assert np.all(np.abs(dec.t) <= 1.0 + 1e-12)
 
@@ -349,7 +366,7 @@ class TestHilbertSchmidt:
         rng = np.random.default_rng(12)
         for _ in range(100):
             rho = random_density(rng, 4)
-            dec = states.hilbert_schmidt_decomposition(rho)
+            dec = hilbert_schmidt_decomposition(rho)
             r, s, t = hs_kron_loop(rho)
             np.testing.assert_allclose(dec.r, r, rtol=0.0, atol=1e-15)
             np.testing.assert_allclose(dec.s, s, rtol=0.0, atol=1e-15)
@@ -357,6 +374,13 @@ class TestHilbertSchmidt:
 
 
 class TestTeleportationFidelity:
+    def test_matches_singular_values_of_reference_correlations(self):
+        rng = np.random.default_rng(13)
+        for rho in [build_werner_qubit()] + [random_density(rng, 4) for _ in range(50)]:
+            t = hilbert_schmidt_decomposition(rho).t
+            expected = 0.5 * (1.0 + np.linalg.svd(t, compute_uv=False).sum() / 3.0)
+            assert states.teleportation_fidelity(rho) == expected
+
     def test_werner(self):
         assert abs(states.teleportation_fidelity(build_werner_qubit()) - 0.75) < 1e-12
 

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,6 +331,21 @@ class TestWignerGrid:
         for name in wg.BLOCK_NAMES:
             assert np.max(np.abs(g_true.blocks[name] - g_est.blocks[name])) < 1e-6
 
+    def test_allocation_peak_of_two_sources_on_default_axes(self, hybrid07):
+        # the 8 blocks `wigner --source both` maps peak at 3.7 MB; a gathered
+        # (points x orders x blocks) operand per chunk takes that to 7.2 MB
+        recon = random_blocks(np.random.default_rng(4), (32,) * 4, 4e4).values()
+        named = {("true", n): getattr(hybrid07, n) for n in wg.BLOCK_NAMES}
+        named.update({("recon", n): block for n, block in zip(wg.BLOCK_NAMES, recon)})
+        axes = wg.default_axes(0.7, 3.0, 0.1, 3.0)
+        wg.wigner_grid(named, *axes)  # first-call caches are not the map's peak
+        tracemalloc.start()
+        try:
+            wg.wigner_grid(named, *axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6, f"wigner_grid allocated up to {peak / 1e6:.2f} MB"
 
     def test_two_sources_of_different_size_in_one_grid(self, hybrid07):
         # the CLI evaluates the true and reconstructed blocks together; the
