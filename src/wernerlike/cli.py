@@ -13,9 +13,7 @@ Exit codes: 0 success, 1 validation error, 2 I/O error, 3 numerical failure.
 import argparse
 import hashlib
 import json
-import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -30,8 +28,6 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_NUMERICAL = 3
 
-LOCK_NAME = ".wernerlike.lock"
-
 
 class ConfigError(ValueError):
     """Bad configuration file or command line."""
@@ -43,7 +39,7 @@ class RunConfig:
     cutoff: int = 32
     beta_abs: float = 0.6
     n_max: int = 31
-    n_cutoff: int = 31
+    n_cutoff: int = 4
     n_phases: int = 96
     events_per_phase: int = 10000
     eta: float = 0.9
@@ -110,23 +106,6 @@ class RunConfig:
 
     def truth_state(self):
         return states.build_hybrid_mixture(self.alpha, self.cutoff)
-
-
-@contextmanager
-def output_lock(outdir):
-    path = Path(outdir) / LOCK_NAME
-    try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise OSError(
-            f"output directory {outdir} is in use (lock file {path}; remove it if stale)"
-        )
-    try:
-        os.write(fd, str(os.getpid()).encode())
-        yield
-    finally:
-        os.close(fd)
-        path.unlink(missing_ok=True)
 
 
 def _stamp(config):
@@ -463,6 +442,7 @@ _COMMANDS = {
     "simulate": cmd_simulate,
     "reconstruct": cmd_reconstruct,
     "wigner": cmd_wigner,
+    "verify": cmd_verify,
 }
 
 
@@ -473,11 +453,9 @@ def run(argv=None):
     if args.seed is not None:
         config = replace(config, seed=args.seed).validate()
     outdir = Path(args.out)
-    if args.command == "verify":  # reads only: no directory made, no lock taken
-        return cmd_verify(config, args, outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with output_lock(outdir):
-        return _COMMANDS[args.command](config, args, outdir)
+    if args.command != "verify":  # verify only reads: it makes no directory
+        outdir.mkdir(parents=True, exist_ok=True)
+    return _COMMANDS[args.command](config, args, outdir)
 
 
 def main(argv=None):

@@ -64,7 +64,7 @@ class TestConfig:
 
     def test_invalid_settings_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("n_phases = 10\n")  # too few for the default cutoff
+        path.write_text("n_phases = 8\n")  # too few for the default cutoff
         with pytest.raises(cli.ConfigError):
             RunConfig.from_file(path)
 
@@ -402,18 +402,19 @@ def test_records_read_back_to_their_bytes_and_estimates(tmp_path, backend):
 
 
 #: sha256 of wigner_true.csv at seed 20260801 (density backend, default
-#: config); its bytes do not depend on the inversion
-TRUE_SURFACE_SHA256 = "d3b0b5111d474af05f4ab9744d54eecd2b7f25c50758bbc3565a216898d8fc66"
+#: config); its values do not depend on the inversion, its stamp line holds
+#: the config hash
+TRUE_SURFACE_SHA256 = "68e74e960b00842b85dc5d000bde223aab125bd569fede6d7708e2f401d61363"
 
 #: the fields of reconstruction.json at that seed that are compared exactly
 PINNED_RECONSTRUCTION = {
-    "settings": {"beta_abs": 0.6, "n_phases": 96, "n_max": 31, "n_cutoff": 31, "eta": 0.9},
+    "settings": {"beta_abs": 0.6, "n_phases": 96, "n_max": 31, "n_cutoff": 4, "eta": 0.9},
     "backend": "density",
     "exact_marginals": False,
-    "config_hash": "fca215a889c637c44eafac26f8c39e43595648ac2317842cdf5fa67105e1d857",
+    "config_hash": "ec04b95bc67ec3ff0492e593e5dd7aed182533a0ad5a17727b8c97f0e75789d2",
     "seed": 20260801,
 }
-PINNED_COVERAGE = {"uu": (1.0, 952), "dd": (1.0, 952), "ud": (1.0, 1904)}
+PINNED_COVERAGE = {"uu": (0.96, 25), "dd": (1.0, 25), "ud": (1.0, 50)}
 
 
 def read_surfaces(path):
@@ -430,7 +431,6 @@ def assert_close(got, want, scale, tol=1e-9):
     assert np.max(np.abs(np.asarray(got) - want)) <= tol * scale
 
 
-@pytest.mark.filterwarnings("ignore:grid integrals")  # the raw estimate's surface
 def test_outputs_match_pinned_hashes(tmp_path):
     # the true surface is pinned by bytes; the estimate and its surface by
     # value, against the per-block reference path with one SVD per order
@@ -475,7 +475,7 @@ def test_outputs_match_pinned_hashes(tmp_path):
         assert report[name]["max_abs_error"] == pytest.approx(
             want[name]["max_abs_error"], rel=1e-9, abs=0.0
         )
-    assert report["pooled_within_3sigma"] == 1.0
+    assert report["pooled_within_3sigma"] == 0.99
 
     blocks = state_blocks(estimate.to_state())
     grid = wigner.wigner_grid(blocks, *wigner.default_axes(config.alpha, 3.0, 0.1, 3.0))
@@ -483,6 +483,22 @@ def test_outputs_match_pinned_hashes(tmp_path):
     scale = max(np.max(np.abs(w)) for w in grid.blocks.values())
     for name in wigner.BLOCK_NAMES:
         assert_close(got[name], grid.blocks[name].ravel(), scale)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("backend", ["density", "trap"])
+def test_default_session_resolves_its_cutoff(tmp_path, backend):
+    # the default cutoff is one the default design resolves: no warning, a
+    # normalized estimate surface and errors of a few 1e-3 per block
+    path = tmp_path / "run.cfg"
+    path.write_text(f"backend = {backend}\n")
+    out = tmp_path / "run"
+    for stage in (("simulate",), ("reconstruct",), ("wigner", "--source", "both"), ("verify",)):
+        assert run_cli("--config", path, "--seed", 20260801, "--out", out, *stage) == EXIT_OK
+    report = json.loads((out / "reconstruction.json").read_text())["truth_comparison"]
+    for name in ("uu", "dd", "ud"):
+        assert report[name]["max_abs_error"] <= 0.02, (name, report[name])
+    assert json.loads((out / "wigner_meta.json").read_text())["recon"]["normalization_ok"] is True
 
 
 def test_simulate_builds_one_truth_and_searches_once(tmp_path, monkeypatch):
@@ -930,15 +946,6 @@ class TestExitCodes:
 
     def test_bad_subcommand_is_validation(self):
         assert run_cli("frobnicate") == EXIT_VALIDATION
-
-    @pytest.mark.parametrize("command", ["metrics", "simulate", "reconstruct", "wigner"])
-    def test_locked_directory_is_io_error(self, tmp_path, config_path, command):
-        out = tmp_path / "run"
-        out.mkdir()
-        (out / cli.LOCK_NAME).write_text("held")
-        assert run_cli("--config", config_path, "--out", out, command) == EXIT_IO
-        assert [p.name for p in out.iterdir()] == [cli.LOCK_NAME]
-        assert (out / cli.LOCK_NAME).read_text() == "held"
 
     def test_verify_of_a_missing_directory_creates_nothing(self, tmp_path, config_path, capsys):
         out = tmp_path / "absent"

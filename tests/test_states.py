@@ -1,4 +1,5 @@
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -334,6 +335,34 @@ class TestNegativity:
             weights = rng.dirichlet(np.ones(n_terms))
             rho = sum(w * random_product_qubit_pair(rng) for w in weights)
             assert states.negativity(rho) == 0.0
+
+
+def ref_partial_transpose(rho):
+    """Reference: PT[(a, b), (c, d)] = rho[(a, d), (c, b)], entry by entry."""
+    pt = np.empty((4, 4), dtype=complex)
+    for i, j, k, m in itertools.product(range(2), repeat=4):
+        pt[2 * i + j, 2 * k + m] = rho[2 * i + m, 2 * k + j]
+    return pt
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("alpha, value", [(0.02, 5.99e-4), (0.05, 3.70e-3), (0.1, 1.43e-2)])
+    def test_small_alpha_is_entangled(self, alpha, value):
+        # the least partial-transpose eigenvalue is -value/2, far above round-off
+        rho = states.build_mapped_qubit(states.kappa_from_alpha(alpha))
+        vals = np.linalg.eigvalsh(ref_partial_transpose(rho))
+        want = -2.0 * vals[vals < 0].sum()
+        got = states.negativity(rho)
+        assert got > 0.0
+        assert abs(got - want) < 1e-12
+        assert got == pytest.approx(value, rel=1e-2)
+
+    def test_validate_refuses_a_small_negative_eigenvalue(self):
+        # trace 1, eigenvalues (0.5, 0, 0.5 + 1e-6, -1e-6)
+        dd = np.diag([0.5 + 1e-6, -1e-6])
+        state = states.HybridState.from_blocks(np.diag([0.5, 0.0]), np.zeros((2, 2)), dd)
+        with pytest.raises(ValueError, match="min eigenvalue -1.000e-06"):
+            state.validate()
 
 
 class TestHilbertSchmidt:

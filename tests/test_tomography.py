@@ -504,6 +504,13 @@ class TestReconstruction:
         with pytest.raises(ValueError, match="beta_abs"):
             tg.reconstruct_full(exact_datas(hybrid07, base), wrong)
 
+    def test_group_of_another_count_range_named(self, hybrid07):
+        base = settings_16()
+        datas = exact_datas(hybrid07, base)
+        datas[2] = replace(datas[2], w=datas[2].w[..., :-1], variance=datas[2].variance[..., :-1])
+        with pytest.raises(ValueError, match="n_max: data 14 vs settings 15"):
+            tg.reconstruct_full(datas, base)
+
     def test_rotated_projectors(self):
         up = np.array([0.0, 1.0], dtype=complex)
         proj = tg.spin_projector(np.pi / 4, -np.pi / 2, fock.SPIN_UP)
@@ -553,6 +560,37 @@ class TestErrorReport:
             for name in ("uu", "ud", "dd")
         })
         assert tg.error_report(est, small) == tg.error_report(est, padded)
+
+    def test_containment_counts_only_what_lies_within_3_sigma(self, hybrid07):
+        # parts at known z = error / sigma, sigma = 1/4; a part with sigma 0 is not counted
+        settings = tg.TomographySettings(
+            theta=0.0, phi_spin=0.0, beta_abs=0.6, n_phases=4, n_max=1, n_cutoff=1, eta=1.0,
+        )
+        ones, sigma = np.ones((2, 2)), 0.25
+        # uu (Hermitian): re (0,0), (1,0), (1,1) at z 0, 2.9, 3.1; im (1,0) at z 30
+        uu = np.array([[0.0, 2.9 - 30j], [2.9 + 30j, 3.1]])
+        # dd: only re (0,0) has sigma > 0, at z 0; re (1,1) misses with sigma 0
+        dd, dd_sigma = np.array([[0.0, 0.0], [0.0, 2.0]]), np.array([[sigma, 0.0], [0.0, 0.0]])
+        # ud (general): z -2.9, -3.1, 0 and 30, 2.9; three parts with sigma 0
+        ud = np.array([[-2.9 + 30j, -3.1], [0.0 + 4j, 20.0 + 2.9j]])
+        ud_re, ud_im = sigma * np.array([[1, 1], [1, 0]]), sigma * np.array([[1, 0], [0, 1]])
+
+        def block(name, z, sigma_re, sigma_im):
+            truth = getattr(hybrid07, name)[:2, :2]
+            return tg.BlockEstimate(truth + sigma * z, sigma_re, sigma_im)
+
+        estimate = tg.HybridEstimate(
+            uu=block("uu", uu, sigma * ones, sigma * ones), dd=block("dd", dd, dd_sigma, 0 * ones),
+            ud=block("ud", ud, ud_re, ud_im), settings=settings, orders=(),
+        )
+        report = tg.error_report(estimate, hybrid07)
+        assert [(report[n]["within_3sigma"], report[n]["parts"]) for n in ("uu", "dd", "ud")] == [
+            (0.5, 4), (1.0, 1), (0.6, 5),
+        ]
+        assert report["pooled_within_3sigma"] == 0.6
+        for name, z in (("uu", uu), ("dd", dd), ("ud", ud)):
+            want = sigma * np.abs(z).max()
+            assert report[name]["max_abs_error"] == pytest.approx(want, rel=1e-12)
 
 
 def ref_scalar_parts(estimate, truth, hermitian):

@@ -245,6 +245,14 @@ class TestWignerGrid:
         assert grid.meta["normalization_ok"] is False
         assert np.isnan(grid.meta["normalization"]["uu"]["integral"]).all()
 
+    def test_a_miss_of_2e_3_is_not_normalized(self, grid07):
+        grid = wg.WignerGrid(grid07.re_axis, grid07.im_axis, {"uu": grid07.blocks["uu"]}, meta={})
+        integral = grid.block_integral("uu")
+        with pytest.warns(UserWarning, match="grid integrals"):
+            grid.check_normalization({"uu": integral + 2e-3})
+        assert grid.meta["normalization_ok"] is False
+        assert grid.meta["normalization"]["uu"]["integral"] == [integral.real, integral.imag]
+
     def test_coverage_warning_on_small_grid(self, hybrid07):
         axis = np.arange(-0.5, 0.55, 0.25)
         grid = wg.wigner_grid(state_blocks(hybrid07), axis, axis)
